@@ -45,12 +45,18 @@ def ingest_csv(path) -> tuple[np.ndarray, list]:
     """Read a numeric CSV; returns (array, column names).
 
     A non-numeric first row is treated as a header; missing/blank fields
-    become NaN.
+    become NaN.  A row whose field count differs from the first row's, or a
+    field that is not a number, raises ValueError naming its line.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row and any(f.strip() for f in row)]
     if not rows:
         raise ValueError(f"{path}: empty CSV")
+    width = len(rows[0][1])
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {width}")
 
     def parse(field: str) -> float:
         field = field.strip()
@@ -58,13 +64,19 @@ def ingest_csv(path) -> tuple[np.ndarray, list]:
             return math.nan
         return float(field)
 
+    def parse_row(line: int, row: list) -> list:
+        try:
+            return [parse(f) for f in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+
     try:
-        first = [parse(f) for f in rows[0]]
-        header = [f"col{j}" for j in range(len(rows[0]))]
-        data_rows = [first] + [[parse(f) for f in row] for row in rows[1:]]
+        data_rows = [[parse(f) for f in rows[0][1]]]
+        header = [f"col{j}" for j in range(width)]
     except ValueError:
-        header = [f.strip() for f in rows[0]]
-        data_rows = [[parse(f) for f in row] for row in rows[1:]]
+        data_rows = []
+        header = [f.strip() for f in rows[0][1]]
+    data_rows += [parse_row(line, row) for line, row in rows[1:]]
     if not data_rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(data_rows, dtype=float), header
@@ -77,6 +89,12 @@ def _emit(payload: dict, out) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _input_error(exc: ValueError, out) -> int:
+    """Report an unreadable input as a JSON error report; exit code 1."""
+    _emit({"status": "error", "message": str(exc)}, out)
+    return 1
 
 
 def _grid_from_args(args) -> FieldGrid:
@@ -144,7 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
-    data, _ = ingest_csv(args.input)
+    try:
+        data, _ = ingest_csv(args.input)
+    except ValueError as exc:
+        return _input_error(exc, args.out)
     if data.shape[1] != 2:
         raise SystemExit("test expects a two-column CSV")
     data = data[~np.any(np.isnan(data), axis=1)]
@@ -210,7 +231,10 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    data, names = ingest_csv(args.input)
+    try:
+        data, names = ingest_csv(args.input)
+    except ValueError as exc:
+        return _input_error(exc, args.out)
     d = data.shape[1]
     if args.pairs:
         pairs = []

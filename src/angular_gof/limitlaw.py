@@ -1,19 +1,20 @@
-"""Monte-Carlo simulator of the asymptotic null law of the test statistic.
+"""Simulator of the asymptotic null law of the test statistic.
 
 The limit variable is L = int_0^{pi/2} |X(theta)| q(theta) dtheta where X is a
 linear transformation of a set-indexed Wiener process W with intensity the
-exponent measure Lambda_r.  The simulator discretizes W on an M x M grid of
-cells with exact cell masses (rectangle identity Lambda([0,a]x[0,b]) =
-a + b - ell(a,b)), evaluates the processes
+exponent measure Lambda_r.  W is discretized on an M x M grid of cells with
+exact cell masses (rectangle identity Lambda([0,a]x[0,b]) = a + b - ell(a,b)),
+and X is built from the processes
 
     alpha(theta) = W(C_{p,theta}) + Z_p(theta)
     beta(theta)  = [alpha(theta) Phi(pi/2) - Phi(theta) alpha(pi/2)] / Phi(pi/2)^2
     gamma(theta) = beta(theta) + (int beta f' / sigma_Q^2(f)) int_0^theta f dQ
     X(theta)     = gamma(theta) - grad_r Q(theta) * I
 
-with I = g (W(A_{(1,1)}) - ell_1(1,1) W_1(1) - ell_2(1,1) W_2(1)), and
-Riemann-sums |X| q over an N-point midpoint grid (the cell containing pi/4
-uses the exact closed-form integral of the singular weight).
+with I = g (W(A_{(1,1)}) - ell_1(1,1) W_1(1) - ell_2(1,1) W_2(1)), on an
+N-point midpoint grid; L is the sum of |X| times the exact per-cell integrals
+of q (the cell containing pi/4 uses the closed-form integral of the singular
+weight).
 
 Two index conventions are in play.  Sums over the angular sets C_{p,theta}
 include a cell when its lower-left corner lies in the set (the natural
@@ -23,20 +24,26 @@ per-strip overflow cells carrying the Lambda-mass beyond the grid, so that
 Var W_1(x) = x exactly at grid multiples.  Without the overflow cells the
 marginal variances would be badly truncated for slowly-decaying families
 (Hüsler–Reiss loses ~25% of the unit strip at the default coverage).
+
+X is linear in the independent cell variables, so only its N x N covariance
+matters.  ``LimitLawSimulator`` assembles that covariance exactly from prefix
+sums of the cell masses, factors it once (symmetric eigendecomposition,
+negative roundoff eigenvalues clipped to zero) and draws X = F eps with
+eps ~ N(0, I_N) (covariance-factorization sampling; Rasmussen & Williams
+2006, Gaussian Processes for Machine Learning, App. A.2).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .geometry import PI_2, PI_4, WeightKind
+from .geometry import PI_2, WeightKind
 from .models import (
     Model,
     expansion_constants,
@@ -49,19 +56,12 @@ __all__ = [
     "FieldGrid",
     "DESK_GRID",
     "PAPER_GRID",
-    "GaussianField",
     "LimitLawDraws",
     "CriticalValueTable",
     "UnsupportedFeatureError",
     "cell_masses",
     "overflow_masses",
-    "simulate_field",
-    "eval_W_on_Cptheta",
-    "eval_marginals",
-    "eval_W_on_A",
-    "eval_Zp",
     "LimitLawSimulator",
-    "draw_L",
     "simulate_L",
     "quantile",
     "p_value",
@@ -127,45 +127,6 @@ def marg_index(x: float, grid: FieldGrid):
     return np.minimum(np.floor(np.asarray(x, dtype=float) / grid.h).astype(np.int64), grid.M - 1)
 
 
-@dataclass
-class GaussianField:
-    """One realization of the discretized Wiener field with prefix sums."""
-
-    grid: FieldGrid
-    W: np.ndarray  # (M-1, M-1) core cells
-    row_of: np.ndarray  # (M-1,) overflow cells (x-strip, y beyond grid)
-    col_of: np.ndarray  # (M-1,) overflow cells (y-strip, x beyond grid)
-    row_prefix: np.ndarray = field(init=False)  # (M-1, M): cumsum along j, core only
-    w1_cum: np.ndarray = field(init=False)  # (M,): prefix of row sums incl. overflow
-    w2_cum: np.ndarray = field(init=False)  # (M,): prefix of col sums incl. overflow
-
-    def __post_init__(self):
-        m = self.W.shape[0]
-        self.row_prefix = np.concatenate(
-            [np.zeros((m, 1)), np.cumsum(self.W, axis=1)], axis=1
-        )
-        rowsum = self.row_prefix[:, -1] + self.row_of
-        colsum = self.W.sum(axis=0) + self.col_of
-        self.w1_cum = np.concatenate([[0.0], np.cumsum(rowsum)])
-        self.w2_cum = np.concatenate([[0.0], np.cumsum(colsum)])
-
-
-def simulate_field(model: Model, grid: FieldGrid, seed, masses: np.ndarray | None = None) -> GaussianField:
-    """Draw W_ij ~ N(0, Lambda(C_ij)) independently (plus overflow cells)."""
-    if masses is None:
-        masses = cell_masses(model, grid)
-    row_of, col_of = overflow_masses(model, grid, masses)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    m = grid.M - 1
-    z = rng.standard_normal((m, m + 2))
-    return GaussianField(
-        grid=grid,
-        W=z[:, :m] * np.sqrt(masses),
-        row_of=z[:, m] * np.sqrt(row_of),
-        col_of=z[:, m + 1] * np.sqrt(col_of),
-    )
-
-
 def _c_bounds(grid: FieldGrid, p: float, theta: float) -> np.ndarray:
     """Per-row inclusive column counts for the C_{p,theta} sum.
 
@@ -189,181 +150,203 @@ def _c_bounds(grid: FieldGrid, p: float, theta: float) -> np.ndarray:
     return np.minimum(jcap, jtan)
 
 
-def eval_W_on_Cptheta(field: GaussianField, p: float, theta: float) -> float:
-    """W evaluated on the angular set C_{p,theta} (finite p)."""
-    if math.isinf(p):
-        raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
-    bounds = _c_bounds(field.grid, p, theta)
-    rows = np.arange(field.grid.M - 1)
-    return float(field.row_prefix[rows, bounds].sum())
+def _z_coefficients(model: Model, grid: FieldGrid, p: float, theta: np.ndarray):
+    """Midpoint-rule coefficients of Z_p(theta_k) in (W_1(x_m), W_2(.)).
 
-
-def eval_marginals(field: GaussianField, x: float) -> tuple[float, float]:
-    """(W_1(x), W_2(x)) via prefix-sum lookups (full-cell convention)."""
-    idx = int(marg_index(x, field.grid))
-    return float(field.w1_cum[idx]), float(field.w2_cum[idx])
-
-
-def eval_W_on_A(field: GaussianField, x: float, y: float) -> float:
-    """W on A_{(x,y)} = {u <= x or v <= y} by inclusion-exclusion."""
-    ix = int(marg_index(x, field.grid))
-    iy = int(marg_index(y, field.grid))
-    w1 = float(field.w1_cum[ix])
-    w2 = float(field.w2_cum[iy])
-    block = float(field.row_prefix[:ix, iy].sum())
-    return w1 + w2 - block
-
-
-def _z_coefficients(model: Model, grid: FieldGrid, p: float, theta: float):
-    """Midpoint-rule coefficients of Z_p(theta) in (W_1(x_m), W_2(.)).
-
-    Returns (coef_w1, coef_w2, idx_w2) with Z = coef_w1 . W1_mid +
-    sum_m coef_w2[m] * W2[idx_w2[m]], where W1_mid[m] = W_1 at the m-th cell
-    midpoint.  theta = pi/2 keeps only the boundary-curve integral (the
-    chordal integrand vanishes in that limit).
+    Returns (coef_w1, coef_w2, idx_w2), each of shape (len(theta), M-1), with
+    Z_p(theta_k) = coef_w1[k] . W1_mid + sum_m coef_w2[k, m] W2[idx_w2[k, m]],
+    where W1_mid[m] = W_1 at the m-th cell midpoint.  theta = pi/2 keeps only
+    the boundary-curve integral (the chordal integrand vanishes in that
+    limit).  The exponent density is evaluated in one call for all angles.
     """
     h = grid.h
     m = grid.M - 1
     xm = (np.arange(m) + 0.5) * h
-    coef_w1 = np.zeros(m)
-    coef_w2 = np.zeros(m)
-    y_at = np.zeros(m)
-
     xp = geometry.x_p_of_theta(p, theta)
-    if theta < PI_2:
-        tan = math.tan(theta)
-        mask1 = xm < xp
-        lam1 = model.exponent_density(xm[mask1], xm[mask1] * tan)
-        coef_w1[mask1] = h * lam1 * tan
-        coef_w2[mask1] = -h * lam1
-        y_at[mask1] = xm[mask1] * tan
-    mask2 = xm > max(xp, 1.0)
-    if np.any(mask2):
-        ypx = geometry.y_p(p, xm[mask2])
-        lam2 = model.exponent_density(xm[mask2], ypx)
-        coef_w1[mask2] = -h * lam2 * geometry.y_p_prime_abs(p, xm[mask2])
-        coef_w2[mask2] = -h * lam2
-        y_at[mask2] = ypx
-    idx_w2 = marg_index(y_at, grid)
+    chordal = theta < PI_2
+    tan = np.zeros(theta.size)
+    tan[chordal] = [math.tan(t) for t in theta[chordal]]
+
+    # Boundary-curve part: midpoints beyond max(x_p(theta), 1).  The curve
+    # point (x, y_p(x)) does not depend on theta.
+    beyond = xm > 1.0
+    x2 = xm[beyond]
+    y2 = geometry.y_p(p, x2)
+    # Chordal part: midpoints below x_p(theta), on the ray of angle theta.
+    rows1, cols1 = np.nonzero((xm[None, :] < xp[:, None]) & chordal[:, None])
+    y1 = xm[cols1] * tan[rows1]
+    lam = model.exponent_density(np.concatenate([x2, xm[cols1]]), np.concatenate([y2, y1]))
+    lam2, lam1 = lam[: x2.size], lam[x2.size:]
+
+    curve_w1 = np.zeros(m)
+    curve_w2 = np.zeros(m)
+    curve_idx = np.zeros(m, dtype=np.int64)
+    curve_w1[beyond] = -h * lam2 * geometry.y_p_prime_abs(p, x2)
+    curve_w2[beyond] = -h * lam2
+    curve_idx[beyond] = marg_index(y2, grid)
+    on_curve = xm[None, :] > np.maximum(xp, 1.0)[:, None]
+    coef_w1 = np.where(on_curve, curve_w1, 0.0)
+    coef_w2 = np.where(on_curve, curve_w2, 0.0)
+    idx_w2 = np.where(on_curve, curve_idx, 0)
+    coef_w1[rows1, cols1] = h * lam1 * tan[rows1]
+    coef_w2[rows1, cols1] = -h * lam1
+    idx_w2[rows1, cols1] = marg_index(y1, grid)
     return coef_w1, coef_w2, idx_w2
 
 
-def eval_Zp(field: GaussianField, model: Model, p: float, theta: float) -> float:
-    """Reference (non-precomputed) evaluation of Z_p(theta)."""
+def _to_X(rows: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndarray:
+    """Apply the map (alpha(theta_1..N), alpha(pi/2), I) -> X along axis 0.
+
+    ``rows`` has N + 2 rows and is updated in place; the returned view holds
+    the N rows of X.  The map is the identity plus three rank-one terms (the
+    beta step, the gamma step with f_prime_c = dtheta f' / sigma_Q^2(f), and
+    the gradient term), applied as row updates.
+    """
+    n = Q.size
+    out = rows[:n]
+    out -= np.outer(Q, rows[n])
+    out += np.outer(int_f, f_prime_c @ out)
+    out /= total_mass
+    out -= np.outer(grad_Q, rows[n + 1])
+    return out
+
+
+def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> np.ndarray:
+    """Exact covariance of X on the theta grid, shape (N, N).
+
+    Row r of alpha_ext = (alpha(theta_1..N), alpha(pi/2), I) gives cell (i, j)
+    the coefficient a_r(i) + b_r(j) + s_r 1{(i, j) in S_r}: a_r collects the
+    W_1 strips (a suffix sum of the Z_p coefficients), b_r the W_2 strips (a
+    reverse-cumulative histogram of the Z_p coefficients by W_2 index), and
+    S_r is C_{p,theta} (s_r = 1) or, for the I row, the block below (1, 1)
+    (s_r = -g).  The row overflow cell carries a_r(i) alone and the column
+    overflow cell b_r(j) alone.  The C-set bounds are monotone in theta, so
+    cell (i, j) lies in S_k exactly for k >= kappa_ij and the indicator cross
+    terms are prefix sums of mass histograms over kappa.
+    """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
-    coef_w1, coef_w2, idx_w2 = _z_coefficients(model, field.grid, p, theta)
-    w1_mid = field.w1_cum[: field.grid.M - 1]
-    return float(coef_w1 @ w1_mid + coef_w2 @ field.w2_cum[idx_w2])
+    N = grid.N
+    m = grid.M - 1
+    R = N + 2
+    theta_ext = np.append(grid.theta_grid(), PI_2)
+    g, (x0, y0) = expansion_constants(model)
+    d1, d2 = model.stdf_partials(x0, y0)
+    i11 = int(marg_index(x0, grid))
+    j11 = int(marg_index(y0, grid))
+
+    # Strip coefficients, shape (R, m): a[r, i] of row i (W_1), b[r, j] of
+    # column j (W_2).
+    coef_w1, coef_w2, idx_w2 = _z_coefficients(model, grid, p, theta_ext)
+    a = np.zeros((R, m))
+    np.cumsum(coef_w1[:, :0:-1], axis=1, out=a[: N + 1, -2::-1])
+    del coef_w1
+    idx_w2 += (np.arange(N + 1) * grid.M)[:, None]
+    hist = np.bincount(
+        idx_w2.ravel(), weights=coef_w2.ravel(), minlength=(N + 1) * grid.M
+    ).reshape(N + 1, grid.M)
+    del coef_w2, idx_w2
+    b = np.zeros((R, m))
+    np.cumsum(hist[:, :0:-1], axis=1, out=b[: N + 1, ::-1])
+    del hist
+    a[N + 1, :i11] = g * (1.0 - d1)
+    b[N + 1, :j11] = g * (1.0 - d2)
+
+    masses = cell_masses(model, grid)
+    row_of, col_of = overflow_masses(model, grid, masses)
+    row_tot = masses.sum(axis=1) + row_of
+    col_tot = masses.sum(axis=0) + col_of
+
+    # u[i, r] and v[j, r]: s_r times the mass of S_r in row i and column j.
+    # kappa (per row i) holds for each column j the first index of theta_ext
+    # whose set includes cell (i, j), or N + 1 if none does.  By _c_bounds,
+    # C_{p,pi/2} holds the cells j < bound_N[i], and C_{p,theta_k} (k < N)
+    # those of them with j < floor(i tan theta_k) + 1, nondecreasing in k.
+    bound_N = _c_bounds(grid, p, PI_2)
+    tan = np.array([math.tan(t) for t in theta_ext[:N]])
+    cols = np.arange(m)
+    u = np.zeros((m, R))
+    v = np.zeros((m, R))
+    set_in_block = np.zeros(R)
+    for i in range(m):
+        kappa = np.searchsorted(np.floor(i * tan) + 1, cols, side="right")
+        kappa[bound_N[i]:] = N + 1
+        u[i] = np.bincount(kappa, weights=masses[i], minlength=R)
+        v[cols, kappa] += masses[i]
+        if i < i11:
+            set_in_block += np.bincount(kappa[:j11], weights=masses[i, :j11], minlength=R)
+    np.cumsum(u, axis=1, out=u)
+    np.cumsum(v, axis=1, out=v)
+    np.cumsum(set_in_block, out=set_in_block)
+    block = masses[:i11, :j11]
+    u[:, N + 1] = 0.0
+    u[:i11, N + 1] = -g * block.sum(axis=1)
+    v[:, N + 1] = 0.0
+    v[:j11, N + 1] = -g * block.sum(axis=0)
+    block_mass = float(block.sum())
+    set_mass = u[:, : N + 1].sum(axis=0)
+
+    # Sigma_alpha = a D_row a' + b D_col b' + sym(a (masses b' + u) + b v) + K
+    #             = sym(a (masses b' + u + D_row a' / 2) + b (v + D_col b' / 2)) + K.
+    u += masses @ b.T
+    del masses
+    u += 0.5 * row_tot[:, None] * a.T
+    v += 0.5 * col_tot[:, None] * b.T
+    sigma = a @ u
+    del a, u
+    sigma += b @ v
+    del b, v
+    sigma += sigma.T.copy()
+    # The sets are nested, so mass(S_k & S_l) = set_mass[min(k, l)], and
+    # set_mass is nondecreasing.
+    sigma[: N + 1, : N + 1] += np.minimum.outer(set_mass, set_mass)
+    sigma[: N + 1, N + 1] -= g * set_in_block[: N + 1]
+    sigma[N + 1, : N + 1] -= g * set_in_block[: N + 1]
+    sigma[N + 1, N + 1] += g * g * block_mass
+
+    law = get_law(model, p, tol)
+    theta = theta_ext[:N]
+    args = (
+        law.normalized_cdf(theta),
+        law.f_integral(theta),
+        (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
+        law.total_mass,
+        grad_normalized_cdf(model, p, theta, tol),
+    )
+    _to_X(_to_X(sigma, *args).T, *args)
+    return sigma[:N, :N]
 
 
 class LimitLawSimulator:
-    """Draw-independent precomputation for fast repeated draws of L.
+    """Factored covariance of X for fast repeated draws of L.
 
-    Everything that does not depend on the Gaussian variates (cell masses,
-    gather indices, Z_p coefficient matrices, model CDF values, the gradient
-    of Q in r, and the weight-cell integrals) is assembled once; each draw is
-    a Gaussian sample plus prefix sums, gathers, and matrix-vector products.
+    The constructor assembles the exact N x N covariance of X on the theta
+    grid and keeps the factor F = V diag(sqrt(w)) of its eigendecomposition
+    (eigenvalues w, negative roundoff clipped to zero), so one draw is
+    X = F eps with eps ~ N(0, I_N).
     """
 
     def __init__(self, model: Model, p: float, grid: FieldGrid, q: WeightKind, tol: float = 1e-8):
-        if math.isinf(p):
-            raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
         self.model = model
         self.p = p
         self.grid = grid
         self.q = q
-        m = grid.M - 1
-
-        masses = cell_masses(model, grid)
-        row_of, col_of = overflow_masses(model, grid, masses)
-        self._sqrt_mass = np.sqrt(masses)
-        self._sqrt_row_of = np.sqrt(row_of)
-        self._sqrt_col_of = np.sqrt(col_of)
-
-        law = get_law(model, p, tol)
-        self.law = law
-        theta = grid.theta_grid()
-        self.theta = theta
-        self.total_mass = law.total_mass
-        self._Q = law.normalized_cdf(theta)
-        self._int_f = law.f_integral(theta)
-        self._f_prime = geometry.constraint_f_prime(p, theta)
-        self._sigma2_f = law.var_f
-        self._grad_Q = grad_normalized_cdf(model, p, theta, tol)
-        self._dtheta = PI_2 / grid.N
-
-        # C_{p,theta} gather indices into the flattened row-prefix matrix.
-        offsets = np.arange(m, dtype=np.int64) * (m + 1)
-        bounds = np.empty((grid.N, m), dtype=np.int64)
-        for i, th in enumerate(theta):
-            bounds[i] = _c_bounds(grid, p, th)
-        self._c_idx = bounds + offsets[None, :]
-        self._c_idx_full = _c_bounds(grid, p, PI_2) + offsets
-
-        # Z_p coefficient matrices and W2 gather indices.
-        A = np.empty((grid.N, m))
-        B = np.empty((grid.N, m))
-        idx2 = np.empty((grid.N, m), dtype=np.int64)
-        for i, th in enumerate(theta):
-            A[i], B[i], idx2[i] = _z_coefficients(model, grid, p, th)
-        self._z_w1 = A
-        self._z_w2 = B
-        self._z_idx2 = idx2
-        self._zf_w1, self._zf_w2, self._zf_idx2 = _z_coefficients(model, grid, p, PI_2)
-
-        # Estimator-expansion constants and the (1,1) evaluation indices.
-        g, (x0, y0) = expansion_constants(model)
-        self._g = g
-        d1, d2 = model.stdf_partials(x0, y0)
-        self._d1, self._d2 = float(d1), float(d2)
-        self._i11 = int(marg_index(x0, grid))
-        self._j11 = int(marg_index(y0, grid))
-
+        eigvals, F = np.linalg.eigh(_covariance(model, p, grid, tol))
+        F *= np.sqrt(np.maximum(eigvals, 0.0))
+        self._F = F
         # Exact per-cell integrals of the weight function.
-        edges = np.arange(grid.N + 1) * self._dtheta
+        edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
         self._q_cells = np.asarray(
             geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float
         )
 
-    # -- draws ---------------------------------------------------------------
-
     def draw_X(self, rng: np.random.Generator) -> np.ndarray:
         """One trajectory of X on the theta grid."""
-        m = self.grid.M - 1
-        z = rng.standard_normal((m, m + 2))
-        core = z[:, :m] * self._sqrt_mass
-        row_of = z[:, m] * self._sqrt_row_of
-        col_of = z[:, m + 1] * self._sqrt_col_of
-
-        prefix = np.concatenate([np.zeros((m, 1)), np.cumsum(core, axis=1)], axis=1)
-        w1_cum = np.concatenate([[0.0], np.cumsum(prefix[:, -1] + row_of)])
-        w2_cum = np.concatenate([[0.0], np.cumsum(core.sum(axis=0) + col_of)])
-        flat = prefix.ravel()
-
-        c_vals = flat[self._c_idx].sum(axis=1)
-        c_full = flat[self._c_idx_full].sum()
-
-        w1_mid = w1_cum[:m]
-        z_vals = self._z_w1 @ w1_mid + (self._z_w2 * w2_cum[self._z_idx2]).sum(axis=1)
-        z_full = self._zf_w1 @ w1_mid + self._zf_w2 @ w2_cum[self._zf_idx2]
-
-        alpha = c_vals + z_vals
-        alpha_full = c_full + z_full
-        beta = alpha / self.total_mass - self._Q * (alpha_full / self.total_mass)
-        c_beta = self._dtheta * float(beta @ self._f_prime)
-        gamma = beta + (c_beta / self._sigma2_f) * self._int_f
-
-        w1_1 = w1_cum[self._i11]
-        w2_1 = w2_cum[self._j11]
-        block = prefix[: self._i11, self._j11].sum()
-        i_term = self._g * (w1_1 + w2_1 - block - self._d1 * w1_1 - self._d2 * w2_1)
-        return gamma - self._grad_Q * i_term
+        return self._F @ rng.standard_normal(self.grid.N)
 
     def draw(self, rng: np.random.Generator) -> float:
         """One draw of L (Riemann sum with exact weight-cell integrals)."""
-        x = self.draw_X(rng)
-        return float(np.abs(x) @ self._q_cells)
+        return float(np.abs(self.draw_X(rng)) @ self._q_cells)
 
 
 @dataclass
@@ -396,11 +379,10 @@ def get_simulator(model: Model, p: float, grid: FieldGrid, q: WeightKind, tol: f
     return _cached_simulator(model.family, model.r, p, grid, q, tol)
 
 
-def draw_L(model: Model, p: float, grid: FieldGrid, q: WeightKind, seed) -> float:
-    """One draw of the limit variable L (convenience wrapper)."""
-    sim = get_simulator(model, p, grid, q)
-    rng = seed if isinstance(seed, np.random.Generator) else replicate_rng(int(seed), 0)
-    return sim.draw(rng)
+# Replicates per matrix product in simulate_L.  The shape of every product is
+# fixed (the last chunk is zero-padded), so replicate b is computed by the
+# same arithmetic whatever B is.
+_CHUNK = 64
 
 
 def simulate_L(
@@ -412,23 +394,23 @@ def simulate_L(
     base_seed: int,
     threads: int = 1,
 ) -> LimitLawDraws:
-    """B independent draws; replicate b is seeded from (base_seed, b), so the
-    result is identical at any thread count."""
+    """B independent draws; replicate b is seeded from (base_seed, b), so its
+    value depends on neither B nor ``threads``.
+
+    ``threads`` is accepted for the callers' signatures and unused: the draws
+    are matrix products whose threading is the BLAS library's.
+    """
     if B < 1:
         raise ValueError("B must be >= 1")
     sim = get_simulator(model, p, grid, q)
     values = np.empty(B)
-
-    def work(b: int) -> float:
-        return sim.draw(replicate_rng(base_seed, b))
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for b, val in enumerate(pool.map(work, range(B))):
-                values[b] = val
-    else:
-        for b in range(B):
-            values[b] = work(b)
+    eps = np.empty((_CHUNK, grid.N))
+    for start in range(0, B, _CHUNK):
+        n = min(_CHUNK, B - start)
+        for c in range(n):
+            replicate_rng(base_seed, start + c).standard_normal(out=eps[c])
+        eps[n:] = 0.0
+        values[start:start + n] = (np.abs(eps @ sim._F.T) @ sim._q_cells)[:n]
     return LimitLawDraws(
         values=values, family=model.family, r=model.r, p=p, q=q,
         grid=grid, base_seed=base_seed, B=B,

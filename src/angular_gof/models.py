@@ -290,6 +290,19 @@ _GL_NODES = (_GL_NODES + 1.0) / 2.0
 _GL_WEIGHTS = _GL_WEIGHTS / 2.0
 
 
+def _cumulative(panel: np.ndarray) -> np.ndarray:
+    """Cumulative sums of the panel integrals, starting at 0.
+
+    Panel integrals below the smallest normal float are set to zero: they
+    occur where the density underflows (Hüsler–Reiss at small r), carry no
+    usable mass, and would make the harmonic-mean slopes of the PCHIP
+    interpolant overflow.
+    """
+    sums = panel.sum(axis=1)
+    sums[np.abs(sums) < np.finfo(float).tiny] = 0.0
+    return np.concatenate([[0.0], np.cumsum(sums)])
+
+
 class _HalfCache:
     """Cumulative integrals of the angular density over one half-arc.
 
@@ -333,9 +346,9 @@ class _HalfCache:
         # theta = 0 and +1 at theta = pi/2.
         f_end = -1.0 if lower else 1.0
         self.s_edges = edges
-        self.cum = tail + np.concatenate([[0.0], np.cumsum(panel.sum(axis=1))])
-        self.cum_f = f_end * tail + np.concatenate([[0.0], np.cumsum(panel_f.sum(axis=1))])
-        self.cum_f2 = tail + np.concatenate([[0.0], np.cumsum(panel_f2.sum(axis=1))])
+        self.cum = tail + _cumulative(panel)
+        self.cum_f = f_end * tail + _cumulative(panel_f)
+        self.cum_f2 = tail + _cumulative(panel_f2)
         self._interp = PchipInterpolator(edges, self.cum, extrapolate=False)
         self._interp_f = PchipInterpolator(edges, self.cum_f, extrapolate=False)
 

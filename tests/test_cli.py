@@ -106,6 +106,21 @@ class TestCommands:
         for entry in payload["pairs"]:
             assert "bonferroni_reject" in entry and "bh_reject" in entry
 
+    @pytest.mark.parametrize(
+        "text,reason",
+        [("a,b\n1,2\n3\n4,5\n", "line 3 has 1 fields, expected 2"),
+         ("a,b\n1,2\n3,4\n4,x\n", "line 4: could not convert string to float: 'x'")],
+        ids=["ragged", "non-numeric"],
+    )
+    def test_malformed_csv_is_an_error_report(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        rc = cli.main(["test", str(path), "--B", "20"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["message"].endswith(reason)
+
     def test_degenerate_exit_code(self, tmp_path):
         u = np.random.default_rng(6).uniform(size=300)
         path = tmp_path / "dg.csv"

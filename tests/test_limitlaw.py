@@ -2,12 +2,14 @@
 
 Oracles:
   - brute-force double loops over grid cells (set membership by corner test)
-    against the prefix-sum/gather implementations
+    against the prefix-sum evaluators of the reference field pipeline
+    (``limitlaw_oracle``)
   - Monte-Carlo variance identities Var W1(1) = 1 and Var W(A_(1,1)) = l(1,1),
     which hold exactly at grid multiples thanks to the overflow cells —
     deliberately checked on a *small* grid where plain truncation would fail
-  - a from-scratch reference pipeline (simulate_field + eval_* functions)
-    against LimitLawSimulator.draw_X consuming the identical Gaussian stream
+  - the covariance G G' of the reference pipeline, built from unit vectors,
+    against the covariance LimitLawSimulator assembles in closed form
+  - the Gaussian identity E|X| = sqrt(2/pi) sd(X) against the mean of draws
 """
 
 import math
@@ -18,13 +20,9 @@ import pytest
 from angular_gof import geometry as g
 from angular_gof import limitlaw as ll
 from angular_gof.geometry import WeightKind
-from angular_gof.models import (
-    HuslerReissModel,
-    LogisticModel,
-    expansion_constants,
-    get_law,
-    grad_normalized_cdf,
-)
+from angular_gof.models import HuslerReissModel, LogisticModel
+
+import limitlaw_oracle as lo
 
 PI_2 = math.pi / 2.0
 TINY = ll.FieldGrid(h=0.1, M=22, N=16)
@@ -60,7 +58,7 @@ class TestMasses:
 
 class TestFieldEvaluation:
     def _field(self, model=LogisticModel(0.5), grid=TINY, seed=1):
-        return ll.simulate_field(model, grid, np.random.default_rng(seed))
+        return lo.simulate_field(model, grid, np.random.default_rng(seed))
 
     @staticmethod
     def _brute_c_sum(field, p, theta):
@@ -83,13 +81,13 @@ class TestFieldEvaluation:
         for p in (1.0, 2.0, 4.0):
             for theta in (0.2, 1.0, 1.37, PI_2):
                 expect = self._brute_c_sum(field, p, theta)
-                assert ll.eval_W_on_Cptheta(field, p, theta) == pytest.approx(
+                assert lo.eval_W_on_Cptheta(field, p, theta) == pytest.approx(
                     expect, rel=1e-10, abs=1e-12
                 )
 
     def test_marginals_match_bruteforce(self):
         field = self._field()
-        w1, w2 = ll.eval_marginals(field, 1.0)
+        w1, w2 = lo.eval_marginals(field, 1.0)
         idx = int(np.floor(1.0 / TINY.h))
         # W1 counts complete x-strips [0, 1] (rows 0..idx-1) including their
         # per-row overflow; W2 the analogous columns with column overflow.
@@ -102,9 +100,9 @@ class TestFieldEvaluation:
         field = self._field()
         x = y = 1.0
         idx = int(np.floor(x / TINY.h))
-        w1, w2 = ll.eval_marginals(field, x)
+        w1, w2 = lo.eval_marginals(field, x)
         block = field.W[:idx, :idx].sum()
-        assert ll.eval_W_on_A(field, x, y) == pytest.approx(w1 + w2 - block, rel=1e-12)
+        assert lo.eval_W_on_A(field, x, y) == pytest.approx(w1 + w2 - block, rel=1e-12)
 
     def test_zp_matches_handwritten_midpoint_sum(self):
         model = LogisticModel(0.5)
@@ -126,12 +124,14 @@ class TestFieldEvaluation:
                 w1 = field.w1_cum[int(np.floor(xm / h))]
                 w2 = field.w2_cum[min(int(np.floor(yv / h)), TINY.M - 1)]
                 total += lam * (-g.y_p_prime_abs(p, xm) * w1 - w2) * h
-        assert ll.eval_Zp(field, model, p, theta) == pytest.approx(total, rel=1e-10)
+        assert lo.eval_Zp(field, model, p, theta) == pytest.approx(total, rel=1e-10)
 
     def test_p_inf_rejected(self):
         field = self._field()
         with pytest.raises(ll.UnsupportedFeatureError):
-            ll.eval_W_on_Cptheta(field, math.inf, 0.5)
+            lo.eval_W_on_Cptheta(field, math.inf, 0.5)
+        with pytest.raises(ll.UnsupportedFeatureError):
+            ll.LimitLawSimulator(LogisticModel(0.5), math.inf, TINY, WeightKind.CONSTANT)
 
 
 class TestVarianceIdentities:
@@ -145,8 +145,8 @@ class TestVarianceIdentities:
         masses = ll.cell_masses(model, SMALL)
         vals = np.empty(self.N_REPS)
         for b in range(self.N_REPS):
-            f = ll.simulate_field(model, SMALL, rng, masses)
-            vals[b], _ = ll.eval_marginals(f, 1.0)
+            f = lo.simulate_field(model, SMALL, rng, masses)
+            vals[b], _ = lo.eval_marginals(f, 1.0)
         # SE of the sample variance of N(0,1) over 3000 reps ~ 0.026
         assert np.var(vals) == pytest.approx(1.0, abs=0.09)
         assert np.mean(vals) == pytest.approx(0.0, abs=0.07)
@@ -157,8 +157,8 @@ class TestVarianceIdentities:
         masses = ll.cell_masses(model, SMALL)
         vals = np.empty(self.N_REPS)
         for b in range(self.N_REPS):
-            f = ll.simulate_field(model, SMALL, rng, masses)
-            vals[b] = ll.eval_W_on_A(f, 1.0, 1.0)
+            f = lo.simulate_field(model, SMALL, rng, masses)
+            vals[b] = lo.eval_W_on_A(f, 1.0, 1.0)
         expect = float(model.stdf(1.0, 1.0))
         assert np.var(vals) == pytest.approx(expect, abs=0.12)
 
@@ -171,43 +171,41 @@ class TestVarianceIdentities:
         a = np.empty(self.N_REPS)
         b_ = np.empty(self.N_REPS)
         for b in range(self.N_REPS):
-            f = ll.simulate_field(model, SMALL, rng, masses)
-            a[b] = ll.eval_W_on_Cptheta(f, 2.0, t1)
-            b_[b] = ll.eval_W_on_Cptheta(f, 2.0, t2)
+            f = lo.simulate_field(model, SMALL, rng, masses)
+            a[b] = lo.eval_W_on_Cptheta(f, 2.0, t1)
+            b_[b] = lo.eval_W_on_Cptheta(f, 2.0, t2)
         bounds = ll._c_bounds(SMALL, 2.0, t1)
         included = sum(masses[i, : bounds[i]].sum() for i in range(SMALL.M - 1))
         cov = np.mean(a * b_) - np.mean(a) * np.mean(b_)
         assert cov == pytest.approx(included, abs=0.08)
 
 
-class TestSimulatorPipeline:
-    def test_draw_X_matches_reference_pipeline(self):
-        """Assemble X(theta) from the public reference evaluators and compare
-        to the vectorized simulator consuming the identical Gaussian stream."""
-        model = LogisticModel(0.5)
-        p, grid, q = 2.0, TINY, WeightKind.INV_SQRT_PI4
-        sim = ll.LimitLawSimulator(model, p, grid, q)
-        seed = 99
-        x_fast = sim.draw_X(ll.replicate_rng(seed, 0))
+def _mean_L(model, p, grid, q):
+    """E[L] = sqrt(2/pi) sum_k q_cells[k] sd(X(theta_k)), exact given Sigma."""
+    sd = np.sqrt(np.diag(ll._covariance(model, p, grid)))
+    edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
+    return math.sqrt(2.0 / math.pi) * float(g.weight_q_cell_integral(q, edges[:-1], edges[1:]) @ sd)
 
-        field = ll.simulate_field(model, grid, ll.replicate_rng(seed, 0))
-        law = get_law(model, p)
-        theta = grid.theta_grid()
-        alpha = np.array(
-            [ll.eval_W_on_Cptheta(field, p, t) + ll.eval_Zp(field, model, p, t) for t in theta]
-        )
-        alpha_full = ll.eval_W_on_Cptheta(field, p, PI_2) + ll.eval_Zp(field, model, p, PI_2)
-        Q = law.normalized_cdf(theta)
-        beta = alpha / law.total_mass - Q * alpha_full / law.total_mass
-        fprime = g.constraint_f_prime(p, theta)
-        dtheta = PI_2 / grid.N
-        gamma = beta + (dtheta * float(beta @ fprime) / law.var_f) * law.f_integral(theta)
-        gval, (x0, y0) = expansion_constants(model)
-        d1, d2 = model.stdf_partials(x0, y0)
-        w1, w2 = ll.eval_marginals(field, 1.0)
-        i_term = gval * (ll.eval_W_on_A(field, x0, y0) - d1 * w1 - d2 * w2)
-        x_ref = gamma - grad_normalized_cdf(model, p, theta) * i_term
-        np.testing.assert_allclose(x_fast, x_ref, rtol=1e-9, atol=1e-12)
+
+class TestSimulatorPipeline:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    @pytest.mark.parametrize("grid", [TINY, SMALL], ids=["tiny", "small"])
+    def test_covariance_matches_field_oracle(self, grid, model, p):
+        """The assembled covariance of X equals G G' of the reference field
+        pipeline pushed through with unit vectors."""
+        expect = lo.field_covariance(model, p, grid)
+        sigma = ll._covariance(model, p, grid)
+        assert np.max(np.abs(sigma - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    def test_mean_of_draws_matches_closed_form(self, model):
+        q = WeightKind.INV_SQRT_PI4
+        values = ll.simulate_L(model, 2.0, TINY, q, 4000, base_seed=13).values
+        se = values.std(ddof=1) / math.sqrt(values.size)
+        assert abs(values.mean() - _mean_L(model, 2.0, TINY, q)) < 4.0 * se
 
     def test_draw_is_weighted_abs_integral(self):
         model = HuslerReissModel(1.0)
@@ -222,12 +220,32 @@ class TestSimulatorPipeline:
         assert sim._q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
 
 
+class TestGridConvergence:
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    def test_mean_converges_in_h(self, model):
+        """At fixed coverage 9.9 and N = 500, halving h shrinks the change in
+        the exact E[L] by at least 1.5x (roughly first order in h)."""
+        means = [
+            _mean_L(model, 2.0, ll.FieldGrid(h=h, M=M, N=500), WeightKind.INV_SQRT_PI4)
+            for h, M in ((0.1, 100), (0.05, 199), (0.025, 397))
+        ]
+        assert abs(means[1] - means[0]) >= 1.5 * abs(means[2] - means[1]), means
+
+
 class TestDraws:
     def test_thread_count_invariance(self):
         model = LogisticModel(0.5)
         a = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=1)
         b = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=4)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_replicate_values_do_not_depend_on_B(self):
+        # 130 draws span a zero-padded second and third chunk
+        model = HuslerReissModel(1.0)
+        a = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
+        b = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=9)
+        np.testing.assert_array_equal(a.values[:70], b.values)
 
     def test_seed_sensitivity(self):
         model = LogisticModel(0.5)

@@ -10,6 +10,7 @@ Key oracles:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,16 @@ class TestAngularLaw:
         lo = md.get_law(md.LogisticModel(0.5 - dr), 2.0).normalized_cdf(th)
         hi = md.get_law(md.LogisticModel(0.5 + dr), 2.0).normalized_cdf(th)
         assert grad == pytest.approx((hi - lo) / (2 * dr), rel=5e-3, abs=1e-6)
+
+    @pytest.mark.parametrize("r", [0.01, 0.05, 0.1])
+    def test_small_hr_parameter_builds_without_warnings(self, r):
+        # The density underflows to subnormal panel integrals near the
+        # endpoints; the interpolant must be built without a float overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = md.AngularLaw(md.HuslerReissModel(r), 2.0)
+        Q = law.normalized_cdf(np.linspace(0.0, PI_2, 201))
+        assert np.all(np.isfinite(Q)) and np.all(np.diff(Q) >= -1e-12)
 
     def test_cache_returns_same_object(self):
         a = md.get_law(md.LogisticModel(0.5), 2.0)
