@@ -2,10 +2,13 @@
 
 Extreme-value copulas (Gumbel/logistic and Hüsler–Reiss) are written as
 C(u, v) = exp(-ell(-log u, -log v)) with ell the family stdf and sampled by
-conditional inversion: the partial derivative has the closed form
-dC/du = C(u, v) * ell_1(-log u, -log v) / u, which is a CDF in v, inverted by
-bisection.  The comonotone copula and the max-linear factor copula are
-sampled directly; lambda-mixtures draw their component per observation.
+conditional inversion: with x = -log u and y = -log v the partial derivative
+dC/du = C(u, v) ell_x(x, y) / u is a CDF in v whose density is the copula
+density c(u, v) = C(u, v) / (u v) * (ell_x ell_y + lambda(x, y)), so
+dC/du(u, v) = w is solved for v by Newton steps kept inside a shrinking
+bracket (a bisection step whenever Newton would leave it).  The comonotone
+copula and the max-linear factor copula are sampled directly;
+lambda-mixtures draw their component per observation.
 """
 
 from __future__ import annotations
@@ -148,18 +151,61 @@ def conditional_cdf(spec: CopulaSpec, u, v):
     return out[()] if np.ndim(out) == 0 else out
 
 
+# Bracket of the conditional-inversion root and the iteration cap.
+_V_LO, _V_HI = 1e-15, 1.0 - 1e-15
+_MAX_ITER = 60
+
+
+def _conditional_terms(model, u, x, v):
+    """dC/du(u, v) and the copula density c(u, v), from one stdf evaluation.
+
+    ``x`` is -log u, passed in so that it is computed once per sample.
+    """
+    ell, dx, dy, lam = model.stdf_terms(x, -np.log(v))
+    c_over_u = np.exp(-ell) / u
+    return c_over_u * dx, c_over_u / v * (dx * dy + lam)
+
+
 def _sample_conditional(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Conditional inversion: U uniform, solve dC/du(U, v) = W by bisection."""
+    """Conditional inversion: U, W uniform, solve dC/du(U, v) = W for v.
+
+    Safeguarded Newton from v = W (the root under independence): each
+    evaluation moves one end of the bracket [1e-15, 1 - 1e-15] to the
+    iterate, and a Newton step that leaves the bracket is replaced by
+    bisection.  A point stops at a zero residual, a step of at most 2 ulp, a
+    bracket of at most 2 ulp, or a step landing exactly on a bracket end,
+    which is taken: near the root the rounding noise of dC/du can make Newton
+    jump between two evaluated ends a few ulp apart.  60 evaluations is the
+    cap.
+    """
+    model = _ev_model(spec)
     u = rng.uniform(size=n)
     w = rng.uniform(size=n)
-    lo = np.full(n, 1e-15)
-    hi = np.full(n, 1.0 - 1e-15)
-    for _ in range(60):  # interval shrinks below 1e-12 well before 60 halvings
-        mid = 0.5 * (lo + hi)
-        below = conditional_cdf(spec, u, mid) < w
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    v = 0.5 * (lo + hi)
+    x = -np.log(u)
+    v = np.clip(w, _V_LO, _V_HI)
+    lo = np.full(n, _V_LO)
+    hi = np.full(n, _V_HI)
+    active = np.arange(n)
+    for _ in range(_MAX_ITER):
+        va = v[active]
+        g, dens = _conditional_terms(model, u[active], x[active], va)
+        g -= w[active]
+        below = g < 0.0
+        lo_a = np.where(below, va, lo[active])
+        hi_a = np.where(below, hi[active], va)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = va - g / dens
+        inside = (step >= lo_a) & (step <= hi_a)
+        new = np.where(g == 0.0, va, np.where(inside, step, 0.5 * (lo_a + hi_a)))
+        tol = 2.0 * np.spacing(va)
+        on_end = (step == lo_a) | (step == hi_a)
+        done = (g == 0.0) | on_end | (np.abs(new - va) <= tol) | (hi_a - lo_a <= tol)
+        v[active] = new
+        lo[active] = lo_a
+        hi[active] = hi_a
+        active = active[~done]
+        if active.size == 0:
+            break
     return np.column_stack([u, v])
 
 

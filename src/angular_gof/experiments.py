@@ -176,10 +176,7 @@ def _r_grid_for(family: str, r_values: np.ndarray) -> np.ndarray:
         nodes = np.clip(nodes, 1e-3, 0.95)
     else:
         nodes = np.clip(nodes, 1e-3, 8.0)
-    nodes = np.unique(np.round(nodes, 10))
-    if nodes.size == 1:
-        return nodes
-    return nodes
+    return np.unique(np.round(nodes, 10))
 
 
 def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:

@@ -101,16 +101,25 @@ PAPER_GRID = FieldGrid(h=0.05, M=1000, N=1000)
 GRID_PRESETS = {"desk": DESK_GRID, "paper": PAPER_GRID}
 
 
+_MASS_BLOCK = 64  # corner rows per block in cell_masses
+
+
 def cell_masses(model: Model, grid: FieldGrid) -> np.ndarray:
     """Lambda(C_ij) for cells [x_i, x_{i+1}) x [y_j, y_{j+1}), exact.
 
     Four-corner inclusion-exclusion of the rectangle identity; entries are
-    clamped at zero against roundoff.
+    clamped at zero against roundoff.  The corner masses are evaluated in
+    blocks of ``_MASS_BLOCK`` rows, each sharing its last corner row with the
+    next block, so no M×M temporary is ever held; every operation is
+    elementwise, so the result does not depend on the block size.
     """
     x = np.arange(grid.M) * grid.h
-    R = model.rect_mass(x[:, None], x[None, :])
-    masses = R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1]
-    return np.maximum(masses, 0.0)
+    masses = np.empty((grid.M - 1, grid.M - 1))
+    for i0 in range(0, grid.M - 1, _MASS_BLOCK):
+        i1 = min(i0 + _MASS_BLOCK, grid.M - 1)
+        R = model.rect_mass(x[i0:i1 + 1, None], x[None, :])
+        np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0, out=masses[i0:i1])
+    return masses
 
 
 def overflow_masses(model: Model, grid: FieldGrid, masses: np.ndarray):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .geometry import PI_2, PI_4, lp_norm
 
@@ -36,6 +36,14 @@ __all__ = [
     "get_law",
     "AngularLaw",
 ]
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _npdf(x):
+    """Standard normal density (the expression scipy.stats.norm.pdf evaluates)."""
+    return np.exp(-x**2 / 2.0) / _SQRT_2PI
 
 
 class QuadratureError(RuntimeError):
@@ -106,6 +114,24 @@ class LogisticModel:
             return float(dx), float(dy)
         return dx, dy
 
+    def stdf_terms(self, x: np.ndarray, y: np.ndarray):
+        """(ell, ell_x, ell_y, lambda) at arrays x, y > 0, in one pass.
+
+        With a = x/m, b = y/m (m = max(x, y)) and A = a^s + b^s, s = 1/r:
+        ell = m A^r, ell_x = (a^s/A)^(1-r), and lambda = (s-1) ell_x ell_y / ell.
+        """
+        s = 1.0 / self.r
+        m = np.maximum(x, y)
+        with np.errstate(under="ignore"):
+            a_s = np.power(x / m, s)
+            b_s = np.power(y / m, s)
+            big = a_s + b_s
+            ell = m * np.power(big, self.r)
+            dx = np.power(a_s / big, 1.0 - self.r)
+            dy = np.power(b_s / big, 1.0 - self.r)
+            lam = (s - 1.0) * dx * dy / ell
+        return ell, dx, dy, lam
+
     def extremal_coefficient(self) -> float:
         return 2.0 ** self.r
 
@@ -158,7 +184,7 @@ class HuslerReissModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             a = self._z(x, y)
             b = self._z(y, x)
-            term = x * norm.cdf(a) + y * norm.cdf(b)
+            term = x * ndtr(a) + y * ndtr(b)
         # Continuity at the axes: ell(x, 0) = x, ell(0, y) = y.
         term = np.where(x == 0.0, y, term)
         term = np.where(y == 0.0, np.where(x == 0.0, 0.0, x), term)
@@ -173,7 +199,7 @@ class HuslerReissModel:
         b = self._z(y, x)
         # The two expressions phi(a)/(2 r y) and phi(b)/(2 r x) agree
         # analytically; averaging keeps the implementation symmetric in x, y.
-        out = 0.5 * (norm.pdf(a) / (2.0 * self.r * y) + norm.pdf(b) / (2.0 * self.r * x))
+        out = 0.5 * (_npdf(a) / (2.0 * self.r * y) + _npdf(b) / (2.0 * self.r * x))
         return out[()] if np.ndim(out) == 0 else out
 
     def stdf_partials(self, x, y):
@@ -182,16 +208,27 @@ class HuslerReissModel:
         if np.any((x == 0) & (y == 0)):
             raise ValueError("stdf_partials undefined at the origin")
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = norm.cdf(self._z(x, y))
-            dy = norm.cdf(self._z(y, x))
+            dx = ndtr(self._z(x, y))
+            dy = ndtr(self._z(y, x))
         dx = np.where(x == 0.0, 0.0, np.where(y == 0.0, 1.0, dx))
         dy = np.where(y == 0.0, 0.0, np.where(x == 0.0, 1.0, dy))
         if np.ndim(dx) == 0:
             return float(dx), float(dy)
         return dx, dy
 
+    def stdf_terms(self, x: np.ndarray, y: np.ndarray):
+        """(ell, ell_x, ell_y, lambda) at arrays x, y > 0, in one pass.
+
+        With a = r + log(x/y)/(2r) and b = 2r - a: ell_x = Phi(a),
+        ell_y = Phi(b), ell = x ell_x + y ell_y and lambda = phi(a)/(2 r y).
+        """
+        a = self._z(x, y)
+        dx = ndtr(a)
+        dy = ndtr(2.0 * self.r - a)
+        return x * dx + y * dy, dx, dy, _npdf(a) / (2.0 * self.r * y)
+
     def extremal_coefficient(self) -> float:
-        return float(2.0 * norm.cdf(self.r))
+        return float(2.0 * ndtr(self.r))
 
     def rect_mass(self, a, b):
         return _rect_mass(self, a, b)
@@ -257,7 +294,7 @@ def estimate_param(family: str, ell_hat_11: float) -> ParamEstimate:
             return ParamEstimate(1e-3, True)
         if ell_hat_11 >= 2.0:
             return ParamEstimate(8.0, True)
-        return ParamEstimate(float(norm.ppf(ell_hat_11 / 2.0)), False)
+        return ParamEstimate(float(ndtri(ell_hat_11 / 2.0)), False)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -266,7 +303,7 @@ def expansion_constants(model: Model):
     if model.family == "logistic":
         g = 1.0 / (2.0 ** model.r * math.log(2.0))
     else:
-        g = 1.0 / (2.0 * norm.pdf(model.r))
+        g = 1.0 / (2.0 * _npdf(model.r))
     return g, (1.0, 1.0)
 
 
@@ -461,14 +498,6 @@ def _cached_law(family: str, r: float, p: float, tol: float) -> AngularLaw:
 def get_law(model: Model, p: float, tol: float = 1e-8) -> AngularLaw:
     """Shared per-(family, r, p) angular-law cache."""
     return _cached_law(model.family, model.r, p, tol)
-
-
-def angular_cdf(model: Model, p: float, theta, tol: float = 1e-8):
-    return get_law(model, p, tol).cdf(theta)
-
-
-def normalized_cdf(model: Model, p: float, theta, tol: float = 1e-8):
-    return get_law(model, p, tol).normalized_cdf(theta)
 
 
 def _fd_steps(model: Model):

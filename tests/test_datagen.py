@@ -1,8 +1,10 @@
 """Copula specs, CDFs, conditional CDFs, and samplers.
 
-Oracles: finite differences of the copula CDF for the conditional CDF;
-Monte-Carlo agreement of the empirical copula with the analytic one; exact
-uniform margins by construction checks (Kolmogorov-Smirnov).
+Oracles: finite differences of the copula CDF for the conditional CDF and
+of the conditional CDF for the copula density; the fixed-step bisection
+sampler (``datagen_oracle``) for the Newton sampler; Monte-Carlo agreement of
+the empirical copula with the analytic one; exact uniform margins by
+construction checks (Kolmogorov-Smirnov).
 """
 
 import math
@@ -12,6 +14,8 @@ import pytest
 from scipy.stats import kstest, norm
 
 from angular_gof import datagen as dg
+
+import datagen_oracle as do
 
 
 class TestSpecs:
@@ -120,6 +124,47 @@ class TestConditionalCdf:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             dg.conditional_cdf(dg.comonotone(), 0.5, 0.5)
+
+
+class TestCopulaDensity:
+    @pytest.mark.parametrize(
+        "spec",
+        [dg.gumbel(1.5), dg.gumbel(10.0), dg.husler_reiss(0.3), dg.husler_reiss(1.0),
+         dg.husler_reiss(5.0)],
+        ids=lambda s: s.describe(),
+    )
+    def test_density_matches_finite_difference(self, spec):
+        # [DERIVED] c(u, v) = d/dv dC/du (u, v) via central FD of conditional_cdf
+        model = dg._ev_model(spec)
+        u, v = np.meshgrid([0.1, 0.4, 0.7, 0.95], [0.15, 0.5, 0.8, 0.97])
+        u, v = u.ravel(), v.ravel()
+        h = 1e-6
+        fd = (dg.conditional_cdf(spec, u, v + h) - dg.conditional_cdf(spec, u, v - h)) / (2 * h)
+        g, dens = dg._conditional_terms(model, u, -np.log(u), v)
+        np.testing.assert_allclose(dens, fd, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(g, dg.conditional_cdf(spec, u, v), rtol=1e-13)
+
+
+class TestNewtonSampler:
+    SPECS = (
+        [dg.husler_reiss(r) for r in (0.01, 0.1, 1.0, 5.0, 8.0)]
+        + [dg.gumbel(t) for t in (1.0, 1.5, 2.0, 10.0, 50.0)]
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    def test_matches_bisection_oracle(self, spec):
+        for seed in range(3):
+            got = dg.sample(spec, 3000, np.random.default_rng(seed))
+            ref = do.sample_conditional_bisection(spec, 3000, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got[:, 0], ref[:, 0])
+            assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [dg.husler_reiss(1.0), dg.gumbel(2.0)], ids=lambda s: s.kind)
+    def test_consumes_two_uniforms_per_pair(self, spec):
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        dg.sample(spec, 500, rng)
+        do.sample_conditional_bisection(spec, 500, ref_rng)
+        np.testing.assert_array_equal(rng.uniform(size=4), ref_rng.uniform(size=4))
 
 
 class TestSampling:

@@ -55,6 +55,16 @@ class TestMasses:
         for model in (LogisticModel(0.3), HuslerReissModel(2.0)):
             assert np.all(ll.cell_masses(model, SMALL) >= 0.0)
 
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)])
+    @pytest.mark.parametrize("grid", [ll.DESK_GRID, ll.FieldGrid(h=0.05, M=150, N=40)])
+    def test_blocked_masses_equal_one_shot(self, model, grid):
+        # M - 1 = 199 and 149 are not multiples of the row block
+        assert (grid.M - 1) % ll._MASS_BLOCK != 0
+        x = np.arange(grid.M) * grid.h
+        R = model.rect_mass(x[:, None], x[None, :])
+        one_shot = np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0)
+        np.testing.assert_array_equal(ll.cell_masses(model, grid), one_shot)
+
 
 class TestFieldEvaluation:
     def _field(self, model=LogisticModel(0.5), grid=TINY, seed=1):

@@ -10,6 +10,9 @@ Key oracles:
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
+
+import angular_gof
 
 from angular_gof import models as md
 from angular_gof import geometry as g
@@ -151,6 +157,45 @@ class TestDensities:
     def test_density_rejects_axis(self):
         with pytest.raises(ValueError):
             md.LogisticModel(0.5).exponent_density(0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [md.LogisticModel(0.02), md.LogisticModel(0.5), md.LogisticModel(1.0),
+         md.HuslerReissModel(0.01), md.HuslerReissModel(1.0), md.HuslerReissModel(8.0)],
+    )
+    def test_stdf_terms_match_separate_evaluations(self, model):
+        rng = np.random.default_rng(3)
+        x, y = rng.exponential(3.0, 500), rng.exponential(3.0, 500)
+        ell, dx, dy, lam = model.stdf_terms(x, y)
+        ref_dx, ref_dy = model.stdf_partials(x, y)
+        np.testing.assert_allclose(ell, model.stdf(x, y), rtol=1e-14)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-14, atol=1e-300)
+        # Phi(2r - a) is evaluated in the deep tail at r = 0.01, where the
+        # rounding of its argument is amplified by about |a|^2
+        np.testing.assert_allclose(dy, ref_dy, rtol=1e-11, atol=1e-300)
+        np.testing.assert_allclose(lam, model.exponent_density(x, y), rtol=1e-11, atol=1e-300)
+
+
+class TestSpecialFunctions:
+    def test_bit_identical_to_scipy_stats_norm(self):
+        x = np.linspace(-40.0, 40.0, 100_001)
+        p = np.linspace(0.0, 1.0, 100_001)
+        np.testing.assert_array_equal(ndtr(x), norm.cdf(x))
+        np.testing.assert_array_equal(ndtri(p), norm.ppf(p))
+        np.testing.assert_array_equal(md._npdf(x), norm.pdf(x))
+        assert md._npdf(1.0) == norm.pdf(1.0)
+
+    def test_import_does_not_load_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(angular_gof.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, angular_gof; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestEstimator:
