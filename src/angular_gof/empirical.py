@@ -106,6 +106,11 @@ def _survivors(ranks: np.ndarray) -> np.ndarray:
     return (n + 1 - ranks).astype(float)
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
 def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     """Pareto-scale exceedance angles with uniform weights 1/K.
 
@@ -114,10 +119,12 @@ def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     arctan{(n+1-R_2) / (n+1-R_1)} (uniform-scale coordinates).
     """
     sample = np.asarray(sample, dtype=float)
-    n = sample.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    ranks = compute_ranks(sample)
+    _check_k(sample.shape[0], k)
+    return _exceedances(sample, compute_ranks(sample), k, p)
+
+
+def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> AngularDataset:
+    """``select_exceedances`` on ranks already computed from ``sample``."""
     s = _survivors(ranks)
     if math.isinf(p):
         mask = np.minimum(s[:, 0], s[:, 1]) <= k
@@ -158,9 +165,15 @@ def euclidean_weights(angles: np.ndarray, p: float) -> np.ndarray:
 
 
 def angular_dataset(sample: np.ndarray, k: int, p: float, reweight: bool = True) -> AngularDataset:
-    """Full pipeline: exceedances, Euclidean weights, and ell_hat(1,1)."""
-    ds = select_exceedances(sample, k, p)
-    ds.ell_hat_11 = empirical_stdf(sample, k, 1.0, 1.0)
+    """Full pipeline: exceedances, Euclidean weights, and ell_hat(1,1).
+
+    The ranks are computed once and shared by both estimators.
+    """
+    sample = np.asarray(sample, dtype=float)
+    _check_k(sample.shape[0], k)
+    ranks = compute_ranks(sample)
+    ds = _exceedances(sample, ranks, k, p)
+    ds.ell_hat_11 = _stdf(ranks, k, 1.0, 1.0)
     if ds.degenerate:
         return ds
     if reweight:
@@ -187,10 +200,13 @@ def empirical_angular_cdf(dataset: AngularDataset, reweighted: bool = True) -> S
 def empirical_stdf(sample: np.ndarray, k: int, x1: float, x2: float) -> float:
     """Rank-based empirical stdf with the 1/2 finite-sample shift."""
     sample = np.asarray(sample, dtype=float)
-    n = sample.shape[0]
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    ranks = compute_ranks(sample)
+    _check_k(sample.shape[0], k)
+    return _stdf(compute_ranks(sample), k, x1, x2)
+
+
+def _stdf(ranks: np.ndarray, k: int, x1: float, x2: float) -> float:
+    """``empirical_stdf`` on ranks already computed from the sample."""
+    n = ranks.shape[0]
     hit = (ranks[:, 0] > n + 0.5 - k * x1) | (ranks[:, 1] > n + 0.5 - k * x2)
     return float(np.count_nonzero(hit)) / k
 

@@ -167,6 +167,29 @@ class TestPipeline:
         assert 1.0 <= ds.ell_hat_11 <= 2.0
         assert np.all(np.diff(ds.angles) >= 0)
 
+    def test_ranks_computed_once(self, monkeypatch):
+        calls = []
+        real = emp.compute_ranks
+
+        def counting(sample):
+            calls.append(1)
+            return real(sample)
+
+        monkeypatch.setattr(emp, "compute_ranks", counting)
+        emp.angular_dataset(_rng(9).normal(size=(400, 2)), 20, 2.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_matches_separate_estimators(self, p):
+        # sharing the ranks changes no bit of the exceedances or of ell_hat
+        x = np.round(_rng(11).normal(size=(600, 2)), 1)  # with ties
+        ds = emp.angular_dataset(x, 30, p, reweight=False)
+        ref = emp.select_exceedances(x, 30, p)
+        assert ds.angles.tobytes() == ref.angles.tobytes()
+        assert ds.weights.tobytes() == ref.weights.tobytes()
+        assert (ds.K, ds.n_ties, ds.degenerate) == (ref.K, ref.n_ties, ref.degenerate)
+        assert ds.ell_hat_11 == emp.empirical_stdf(x, 30, 1.0, 1.0)
+
     def test_degenerate_comonotone(self):
         u = _rng(10).uniform(size=200)
         ds = emp.angular_dataset(np.column_stack([u, u]), 14, 2.0)

@@ -1,20 +1,26 @@
 """Weighted L1 distance between step and smooth CDFs.
 
-Oracle: brute-force Riemann/midpoint sums.  For the singular weight the oracle
+Oracles: brute-force Riemann/midpoint sums.  For the singular weight the oracle
 integrates in the transformed variable u = sqrt|theta - pi/4| (du-sums are
 well-behaved there), which exercises a completely different code path from the
-cellwise panel quadrature under test.
+cellwise panel quadrature under test.  ``wasserstein_oracle`` keeps the
+fixed-step bisection and 64-node cells as the reference for the regula falsi
+crossings and the 16-node cells.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from angular_gof import datagen
 from angular_gof import wasserstein as ws
-from angular_gof.empirical import StepCDF, angular_dataset
+from angular_gof.empirical import StepCDF, angular_dataset, empirical_angular_cdf
 from angular_gof.geometry import WeightKind, weight_q
-from angular_gof.models import LogisticModel, get_law
+from angular_gof.models import LogisticModel, estimate_param, get_law, make_model
+
+import wasserstein_oracle as wo
 
 PI_4 = math.pi / 4.0
 PI_2 = math.pi / 2.0
@@ -140,3 +146,83 @@ class TestTestStatistic:
             law.normalized_cdf, WeightKind.INV_SQRT_PI4,
         )
         assert s_good.value < math.sqrt(k) * v_bad
+
+
+def _fitted(family, spec, p, seed, n=3000, k=100):
+    ds = angular_dataset(datagen.sample(spec, n, np.random.default_rng(seed)), k, p)
+    est = estimate_param(family, ds.ell_hat_11)
+    return empirical_angular_cdf(ds), get_law(make_model(family, est.r), p)
+
+
+class _CountingLaw:
+    def __init__(self, law):
+        self.law = law
+        self.calls = 0
+
+    def normalized_cdf(self, theta):
+        self.calls += 1
+        return self.law.normalized_cdf(theta)
+
+
+class TestAgainstBisectionOracle:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("family,spec", [
+        ("logistic", datagen.gumbel(2.0)),
+        ("hr", datagen.husler_reiss(1.0)),
+    ])
+    def test_roots_and_statistic_match(self, family, spec, p):
+        agree = total = 0
+        for seed in (1, 2, 3):
+            F, law = _fitted(family, spec, p, seed)
+            G = law.normalized_cdf
+            c, lo, hi = wo.crossing_brackets(F, G)
+            ref = wo.bisect_crossings(G, c, lo, hi)
+            new = ws._regula_falsi_crossings(G, c, lo, hi, G(lo) - c, G(hi) - c)
+            assert np.all((new >= lo) & (new <= hi))
+            # The oracle's root is the midpoint of a bracket of width
+            # (hi - lo) / 2^48.  Where the roots differ by more, G cannot
+            # tell them apart: |G - c| is within 16 ulp of c at both.
+            close = np.abs(new - ref) <= 4.0 * np.spacing(ref) + (hi - lo) * 2.0**-49
+            flat = np.maximum(np.abs(G(new) - c), np.abs(G(ref) - c)) <= 16.0 * np.spacing(c)
+            assert np.all(close | flat)
+            agree += int(np.count_nonzero(close))
+            total += c.size
+            for kind in (WeightKind.CONSTANT, WeightKind.INV_SQRT_PI4):
+                val, _ = ws.weighted_l1_distance(F, G, kind)
+                ref_val, _ = wo.weighted_l1_distance(F, G, kind)
+                assert val == pytest.approx(ref_val, rel=1e-7)
+        assert total > 0
+        assert agree >= 0.75 * total
+
+    @pytest.mark.parametrize("t0", [1e-3, 0.3, PI_4 - 1e-7, 1.5707])
+    def test_steep_step_stays_in_bracket(self, t0):
+        # a logistic step 1e-12 wide on the whole quarter circle
+        calls = []
+
+        def G(t):
+            calls.append(1)
+            return expit((np.asarray(t) - t0) / 1e-12)
+
+        lo, hi, c = np.array([0.0]), np.array([PI_2]), np.array([0.5])
+        f_lo, f_hi = G(lo) - c, G(hi) - c
+        calls.clear()
+        root = ws._regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi)
+        assert len(calls) <= 48
+        assert lo[0] < root[0] < hi[0]
+        assert abs(root[0] - t0) <= 1e-11
+
+
+class TestEvaluationCount:
+    def test_hr_scenario_two(self):
+        # the power-study setting: HR scenario 2, n = 3000, k = 100
+        spec = datagen.scenario_copula(2, 0.4, "hr")
+        counts = []
+        for seed in range(10):
+            x = datagen.sample(spec, 3000, np.random.default_rng(seed))
+            ds = angular_dataset(x, 100, 2.0)
+            law = _CountingLaw(get_law(make_model("hr", estimate_param("hr", ds.ell_hat_11).r), 2.0))
+            ws.test_statistic(ds, law, WeightKind.INV_SQRT_PI4)
+            counts.append(law.calls)
+        # one call on the partition, the crossings, and the panel levels
+        assert np.mean(counts) <= 16
+        assert max(counts) <= 1 + ws._ROOT_MAX_EVALS + 6
