@@ -194,7 +194,11 @@ def empirical_angular_cdf(dataset: AngularDataset, reweighted: bool = True) -> S
     # Merge coincident angles so the step function has strictly increasing jumps.
     locations, inverse = np.unique(dataset.angles, return_inverse=True)
     masses = np.bincount(inverse, weights=weights, minlength=locations.size)
-    return StepCDF(locations, np.cumsum(masses))
+    cumulative = np.cumsum(masses)
+    # The weights sum to 1, but the running sum can end a few ulp off it; a
+    # step CDF ending short of 1 crosses G spuriously in the last cell.
+    cumulative[-1] = 1.0
+    return StepCDF(locations, cumulative)
 
 
 def empirical_stdf(sample: np.ndarray, k: int, x1: float, x2: float) -> float:

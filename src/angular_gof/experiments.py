@@ -11,7 +11,6 @@ Benjamini-Hochberg corrections to the per-pair p-values.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field
 
@@ -185,9 +184,11 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     Pass 1 computes (r_hat, T_n) per replicate; pass 2 tabulates the
     (1 - alpha) null quantile on a parameter grid covering the observed r_hat
     range and interpolates the decisions.
+
+    ``threads`` is accepted for the callers' signatures and unused: a thread
+    pool over the replicates made the study slower, since they hold the GIL.
     """
     lambdas = np.asarray(config.lambdas, dtype=float)
-    stats = {}
 
     def one_rep(li: int, rep: int):
         spec = datagen.scenario_copula(config.scenario, float(lambdas[li]), config.family)
@@ -204,16 +205,10 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
             return None
         return est.r, stat.value
 
-    jobs = [(li, rep) for li in range(lambdas.size) for rep in range(config.reps)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: one_rep(*job), jobs))
-    else:
-        results = [one_rep(*job) for job in jobs]
-    for job, res in zip(jobs, results):
-        stats[job] = res
-
-    r_values = np.array([res[0] for res in results if res is not None])
+    stats = {
+        (li, rep): one_rep(li, rep) for li in range(lambdas.size) for rep in range(config.reps)
+    }
+    r_values = np.array([res[0] for res in stats.values() if res is not None])
     if r_values.size == 0:
         raise DegenerateDataError("all replicates failed")
     r_grid = _r_grid_for(config.family, r_values)

@@ -10,6 +10,9 @@ Oracles:
   - the covariance G G' of the reference pipeline, built from unit vectors,
     against the covariance LimitLawSimulator assembles in closed form
   - the Gaussian identity E|X| = sqrt(2/pi) sd(X) against the mean of draws
+  - F F' of the Cholesky factor against the assembled covariance, and E[L]
+    from the row norms of F against E[L] from its diagonal, over a sweep of
+    both families
 """
 
 import math
@@ -220,14 +223,56 @@ class TestSimulatorPipeline:
     def test_draw_is_weighted_abs_integral(self):
         model = HuslerReissModel(1.0)
         sim = ll.LimitLawSimulator(model, 2.0, TINY, WeightKind.CONSTANT)
-        x = sim.draw_X(ll.replicate_rng(5, 0))
-        val = sim.draw(ll.replicate_rng(5, 0))
+        x = sim.draw_X(ll.block_rng(5, 0))
+        val = sim.draw(ll.block_rng(5, 0))
         # constant weight: exact cell integrals are just dtheta
         assert val == pytest.approx(float(np.abs(x).sum() * PI_2 / TINY.N), rel=1e-12)
 
     def test_q_cells_sum_to_total_weight(self):
         sim = ll.LimitLawSimulator(LogisticModel(0.5), 2.0, TINY, WeightKind.INV_SQRT_PI4)
         assert sim._q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
+
+
+# Families and parameters of the factorization sweep; r = 0.001 is the most
+# nearly singular covariance of both families.
+_SWEEP = [HuslerReissModel(r) for r in (0.001, 0.01, 0.1, 0.3, 1.0, 2.0, 4.0, 8.0)] + [
+    LogisticModel(r) for r in (0.001, 0.05, 0.3, 0.5, 0.8, 0.95)
+]
+
+
+class TestFactor:
+    """F F' reproduces Sigma up to the diagonal jitter delta."""
+
+    @staticmethod
+    def _check(model, p, grid):
+        sigma = ll._covariance(model, p, grid)
+        delta = ll._JITTER * sigma.diagonal().max()
+        sim = ll.LimitLawSimulator(model, p, grid, WeightKind.INV_SQRT_PI4)
+        F = sim._F
+        assert F.flags.c_contiguous and F.shape == (grid.N, grid.N)
+        assert np.max(np.abs(F @ F.T - sigma)) <= 2.0 * delta
+        # E[L] = sqrt(2/pi) sum_k q_cells[k] sd(X(theta_k)); the row norms of F
+        # are the standard deviations of the factored law.
+        mean_sigma = sim._q_cells @ np.sqrt(sigma.diagonal())
+        mean_F = sim._q_cells @ np.linalg.norm(F, axis=1)
+        assert mean_F == pytest.approx(mean_sigma, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", _SWEEP, ids=lambda m: f"{m.family}-{m.r:g}")
+    def test_desk_grid(self, model, p):
+        self._check(model, p, ll.DESK_GRID)
+
+    @pytest.mark.parametrize("model", [HuslerReissModel(0.001), LogisticModel(0.001)],
+                             ids=lambda m: m.family)
+    def test_paper_grid_worst_cases(self, model):
+        self._check(model, 1.0, ll.PAPER_GRID)
+
+    def test_indefinite_covariance_raises(self, monkeypatch):
+        sigma = np.eye(TINY.N)
+        sigma[3, 3] = -0.1
+        monkeypatch.setattr(ll, "_covariance", lambda *args, **kwargs: sigma.copy())
+        with pytest.raises(np.linalg.LinAlgError, match=r"hr r=1\.5, p=2, grid h=0\.1 M=22 N=16"):
+            ll.LimitLawSimulator(HuslerReissModel(1.5), 2.0, TINY, WeightKind.CONSTANT)
 
 
 class TestGridConvergence:
@@ -251,11 +296,23 @@ class TestDraws:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_replicate_values_do_not_depend_on_B(self):
-        # 130 draws span a zero-padded second and third chunk
+        # 130 draws span two full blocks and a zero-padded third; 1 and 65
+        # leave a block with a single row filled.
         model = HuslerReissModel(1.0)
         a = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
-        b = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=9)
-        np.testing.assert_array_equal(a.values[:70], b.values)
+        for B in (1, 64, 65, 70):
+            b = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, B, base_seed=9)
+            np.testing.assert_array_equal(a.values[:B], b.values)
+
+    def test_replicate_is_row_of_its_block(self):
+        # replicate b is row b % 64 of the normals block_rng(seed, b // 64) fills
+        model = HuslerReissModel(1.0)
+        draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
+        sim = ll.get_simulator(model, 2.0, TINY, WeightKind.CONSTANT)
+        for b in (0, 63, 64, 70, 129):
+            eps = ll.block_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
+            expect = float(np.abs(sim._F @ eps) @ sim._q_cells)
+            assert draws.values[b] == pytest.approx(expect, rel=1e-12)
 
     def test_seed_sensitivity(self):
         model = LogisticModel(0.5)
