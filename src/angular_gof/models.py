@@ -6,10 +6,12 @@ measure density lambda_r, rectangle masses, stdf partial derivatives, the
 extremal-coefficient parameter estimator with its expansion constant g, and
 the angular density / CDF on the positive arc of the L_p unit sphere.
 
-The angular CDF has no closed form; it is evaluated once per (family, r, p)
+The angular CDF has no closed form; it is integrated once per (family, r, p)
 by composite Gauss–Legendre panels under an endpoint substitution that tames
-the density singularity (logistic density ~ theta^(1/r - 2) near the axes),
-then cached as a monotone interpolant for cheap repeated evaluation.
+the density singularity (logistic density ~ theta^(1/r - 2) near the axes).
+The cumulative integrals of both half-arcs share their panel edges in the
+substitution variable, so one table of monotone cubic Hermite coefficients
+per cumulative, indexed by panel and half, evaluates the CDF at any angle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr, ndtri
 
 from .geometry import PI_2, PI_4, lp_norm
@@ -332,8 +333,8 @@ def _cumulative(panel: np.ndarray) -> np.ndarray:
 
     Panel integrals below the smallest normal float are set to zero: they
     occur where the density underflows (Hüsler–Reiss at small r), carry no
-    usable mass, and would make the harmonic-mean slopes of the PCHIP
-    interpolant overflow.
+    usable mass, and would make the harmonic-mean knot slopes of
+    ``_hermite_table`` overflow.
     """
     sums = panel.sum(axis=1)
     sums[np.abs(sums) < np.finfo(float).tiny] = 0.0
@@ -353,7 +354,6 @@ class _HalfCache:
 
     def __init__(self, model, p, lower: bool, n_panels: int):
         self.kappa = model.endpoint_kappa()
-        self.lower = lower
         tail = model.endpoint_tail_mass(self.THETA_CUT)
         s_cut = 0.0
         if tail > 0.0:
@@ -386,8 +386,6 @@ class _HalfCache:
         self.cum = tail + _cumulative(panel)
         self.cum_f = f_end * tail + _cumulative(panel_f)
         self.cum_f2 = tail + _cumulative(panel_f2)
-        self._interp = PchipInterpolator(edges, self.cum, extrapolate=False)
-        self._interp_f = PchipInterpolator(edges, self.cum_f, extrapolate=False)
 
     @property
     def total(self) -> float:
@@ -401,17 +399,49 @@ class _HalfCache:
     def total_f2(self) -> float:
         return float(self.cum_f2[-1])
 
-    def s_of_theta(self, theta):
-        dist = theta if self.lower else PI_2 - theta
-        s = np.power(np.clip(dist / PI_4, 0.0, 1.0), 1.0 / self.kappa)
-        # Below the quadrature cutoff the CDF equals the endpoint atom.
-        return np.clip(s, self.s_edges[0], 1.0)
 
-    def eval(self, theta):
-        return self._interp(self.s_of_theta(theta))
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point knot slope, zeroed or capped to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    def eval_f(self, theta):
-        return self._interp_f(self.s_of_theta(theta))
+
+def _hermite_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Monotone cubic Hermite interpolant of (x, y), one column per cell.
+
+    Column k is (x_k, y_k, d_k, c_k, e_k): on [x_k, x_{k+1}] the interpolant is
+    y_k + d_k t + c_k t^2 + e_k t^3 with t = x - x_k.  The knot slopes d are
+    the Fritsch–Butland weighted harmonic mean of the adjacent secants, zero
+    where the secants change sign or one vanishes, and the one-sided
+    three-point rule at the ends (Fritsch & Carlson 1980; Fritsch & Butland
+    1984): the slopes of scipy's ``PchipInterpolator``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hmean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.concatenate([
+        [_end_slope(h[0], h[1], m[0], m[1])],
+        np.where(flat, 0.0, hmean),
+        [_end_slope(h[-1], h[-2], m[-1], m[-2])],
+    ])
+    cubic = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack([x[:-1], y[:-1], d[:-1], (m - d[:-1]) / h - cubic, cubic / h])
+
+
+def _half_arc_table(x, lower_cum, upper_cum, total) -> np.ndarray:
+    """Joined tables of a cumulative over [0, theta], lower half first; rows
+    (offset, sign) turn the upper half's cumulative into ``total`` minus it."""
+    n = len(x) - 1
+    lower = np.vstack([_hermite_table(x, lower_cum), np.zeros(n), np.ones(n)])
+    upper = np.vstack([_hermite_table(x, upper_cum), np.full(n, total), -np.ones(n)])
+    return np.hstack([lower, upper])
 
 
 class AngularLaw:
@@ -444,8 +474,6 @@ class AngularLaw:
             raise QuadratureError(
                 f"angular CDF quadrature did not converge for {model}", achieved
             )
-        self._lower = lower
-        self._upper = upper
         self.total_mass = lower.total + upper.total
         # The total angular mass always lies in [1, 2]; anything outside means
         # the quadrature missed mass sitting below float resolution (the
@@ -460,19 +488,38 @@ class AngularLaw:
         total_f2 = lower.total_f2 + upper.total_f2
         self.mean_f = total_f / self.total_mass
         self.var_f = max(total_f2 / self.total_mass - self.mean_f**2, 0.0)
-        self._total_f = total_f
+        # Both halves share the s-edges: kappa and the cutoff depend on the model.
+        edges = lower.s_edges
+        self._n_cells = len(edges) - 1
+        self._s0 = edges[0]
+        self._inv_ds = self._n_cells / (1.0 - edges[0])
+        self._inv_kappa = 1.0 / lower.kappa
+        self._cdf_table = _half_arc_table(edges, lower.cum, upper.cum, self.total_mass)
+        self._f_table = _half_arc_table(edges, lower.cum_f, upper.cum_f, total_f)
+
+    def _eval(self, table, theta):
+        """Evaluate a ``_half_arc_table`` at angles theta in [0, pi/2]."""
+        theta = np.asarray(theta, dtype=float)
+        # NaN fails both comparisons; as a cell index it would be INT_MIN.
+        if not np.all((theta >= -1e-12) & (theta <= PI_2 + 1e-12)):
+            raise ValueError("theta must lie in [0, pi/2]")
+        # s of the distance from the nearer arc end; below the quadrature
+        # cutoff the cumulative equals the endpoint atom.
+        dist = np.maximum(np.minimum(theta, PI_2 - theta), 0.0)
+        s = np.maximum(np.power(dist / PI_4, self._inv_kappa), self._s0)
+        n = self._n_cells
+        cell = np.minimum(((s - self._s0) * self._inv_ds).astype(np.intp), n - 1)
+        x, y, d, c, e, offset, sign = np.take(table, cell + n * (theta > PI_4), axis=1)
+        t = s - x
+        t2 = t * t
+        # Summed in the order of scipy's PPoly, and exact for the lower half
+        # (0 + 1 v = v), so G keeps the rounding of PCHIP on the same tables.
+        out = offset + sign * (y + d * t + c * t2 + e * (t2 * t))
+        return out[()] if out.ndim == 0 else out
 
     def cdf(self, theta):
         """Unnormalized angular CDF Phi_{p,r}(theta), vectorized."""
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta < -1e-12) or np.any(theta > PI_2 + 1e-12):
-            raise ValueError("theta must lie in [0, pi/2]")
-        theta = np.clip(theta, 0.0, PI_2)
-        low = theta <= PI_4
-        out = np.empty(theta.shape, dtype=float)
-        out[low] = self._lower.eval(theta[low])
-        out[~low] = self.total_mass - self._upper.eval(theta[~low])
-        return out[()] if out.ndim == 0 else out
+        return self._eval(self._cdf_table, theta)
 
     def normalized_cdf(self, theta):
         """Angular probability CDF Q_{p,r}(theta)."""
@@ -480,14 +527,7 @@ class AngularLaw:
 
     def f_integral(self, theta):
         """Cumulative moment int_0^theta f dQ, vectorized."""
-        theta = np.asarray(theta, dtype=float)
-        theta = np.clip(theta, 0.0, PI_2)
-        low = theta <= PI_4
-        out = np.empty(theta.shape, dtype=float)
-        out[low] = self._lower.eval_f(theta[low])
-        out[~low] = self._total_f - self._upper.eval_f(theta[~low])
-        out = out / self.total_mass
-        return out[()] if out.ndim == 0 else out
+        return self._eval(self._f_table, theta) / self.total_mass
 
 
 @functools.lru_cache(maxsize=256)

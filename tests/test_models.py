@@ -197,6 +197,19 @@ class TestSpecialFunctions:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_does_not_load_scipy_interpolate(self):
+        src = os.path.dirname(os.path.dirname(angular_gof.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        heavy = ("scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, angular_gof; print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestEstimator:
     def test_logistic_round_trip(self):
@@ -330,7 +343,61 @@ class TestAngularLaw:
         Q = law.normalized_cdf(np.linspace(0.0, PI_2, 201))
         assert np.all(np.isfinite(Q)) and np.all(np.diff(Q) >= -1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 3.0, -1e-9, PI_2 + 1e-9])
+    def test_angles_outside_the_arc_raise(self, bad):
+        law = md.get_law(md.LogisticModel(0.5), 2.0)
+        for method in (law.cdf, law.normalized_cdf, law.f_integral):
+            with pytest.raises(ValueError):
+                method(np.array([bad, 0.3]))
+            with pytest.raises(ValueError):
+                method(bad)
+        edge = law.normalized_cdf(np.array([-1e-12, PI_2 + 1e-12]))
+        assert edge == pytest.approx([0.0, 1.0], abs=1e-12)
+
     def test_cache_returns_same_object(self):
         a = md.get_law(md.LogisticModel(0.5), 2.0)
         b = md.get_law(md.LogisticModel(0.5), 2.0)
         assert a is b
+
+
+def _pchip_oracle(law, theta, moment: bool):
+    """The cumulative of ``law`` (times its total mass for the f moment) by
+    scipy's PCHIP on the same s-edges and half-arc cumulative tables."""
+    from scipy.interpolate import PchipInterpolator
+
+    lower = md._HalfCache(law.model, law.p, True, law._n_cells)
+    upper = md._HalfCache(law.model, law.p, False, law._n_cells)
+    cum_lo, cum_up = (lower.cum_f, upper.cum_f) if moment else (lower.cum, upper.cum)
+    low = theta <= PI_4
+    dist = np.where(low, theta, PI_2 - theta)
+    s = np.clip(np.power(dist / PI_4, 1.0 / lower.kappa), lower.s_edges[0], 1.0)
+    G_lo = PchipInterpolator(lower.s_edges, cum_lo)(s)
+    G_up = PchipInterpolator(upper.s_edges, cum_up)(s)
+    return np.where(low, G_lo, cum_lo[-1] + cum_up[-1] - G_up)
+
+
+class TestPchipOracle:
+    # logistic r = 1 - 1e-9 puts the quadrature cutoff at s = 0.94, so the
+    # cell index runs from a nonzero first edge.
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize(
+        "family,r",
+        [("hr", 0.01), ("hr", 1.0), ("hr", 8.0),
+         ("logistic", 0.05), ("logistic", 0.5), ("logistic", 0.95), ("logistic", 1.0 - 1e-9)],
+    )
+    def test_cdf_and_f_integral_match_pchip(self, family, r, p):
+        law = md.AngularLaw(md.make_model(family, r), p)
+        edges = md._HalfCache(law.model, p, True, law._n_cells).s_edges
+        theta_edges = PI_4 * edges ** law.model.endpoint_kappa()
+        theta = np.concatenate([
+            [0.0, 1e-300, PI_4, PI_2],
+            theta_edges,
+            PI_2 - theta_edges,
+            np.random.default_rng(0).uniform(0.0, PI_2, 5000),
+        ])
+        tol = 1e-14 * law.total_mass
+        np.testing.assert_allclose(law.cdf(theta), _pchip_oracle(law, theta, False), rtol=0, atol=tol)
+        np.testing.assert_allclose(
+            law.f_integral(theta) * law.total_mass, _pchip_oracle(law, theta, True),
+            rtol=0, atol=tol,
+        )
