@@ -91,9 +91,9 @@ def _emit(payload: dict, out) -> None:
         sys.stdout.write(text)
 
 
-def _input_error(exc: ValueError, out) -> int:
-    """Report an unreadable input as a JSON error report; exit code 1."""
-    _emit({"status": "error", "message": str(exc)}, out)
+def _input_error(message: str, out) -> int:
+    """Report an unusable input as a JSON error report; exit code 1."""
+    _emit({"status": "error", "message": message}, out)
     return 1
 
 
@@ -103,6 +103,26 @@ def _grid_from_args(args) -> FieldGrid:
 
 def _parse_floats(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _parse_pairs(text: str, d: int) -> list:
+    """Column index pairs 'i,j;k,l' of a table with d columns.
+
+    Each pair must name two different columns in 0..d-1; anything else
+    raises ValueError.
+    """
+    pairs = []
+    for chunk in text.split(";"):
+        try:
+            i, j = (int(tok) for tok in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"--pairs: {chunk!r} is not a pair of column indices 'i,j'") from None
+        if not (0 <= i < d and 0 <= j < d):
+            raise ValueError(f"--pairs: {chunk!r} names a column outside 0..{d - 1}")
+        if i == j:
+            raise ValueError(f"--pairs: {chunk!r} pairs a column with itself")
+        pairs.append((i, j))
+    return pairs
 
 
 def _add_common(sp, B_default: int):
@@ -165,9 +185,11 @@ def _cmd_test(args) -> int:
     try:
         data, _ = ingest_csv(args.input)
     except ValueError as exc:
-        return _input_error(exc, args.out)
+        return _input_error(str(exc), args.out)
     if data.shape[1] != 2:
-        raise SystemExit("test expects a two-column CSV")
+        return _input_error(
+            f"{args.input}: test expects a two-column CSV, got {data.shape[1]} columns", args.out
+        )
     data = data[~np.any(np.isnan(data), axis=1)]
     k = args.k if args.k is not None else default_k(data.shape[0])
     report = run_single_test(
@@ -234,13 +256,13 @@ def _cmd_pairs(args) -> int:
     try:
         data, names = ingest_csv(args.input)
     except ValueError as exc:
-        return _input_error(exc, args.out)
+        return _input_error(str(exc), args.out)
     d = data.shape[1]
     if args.pairs:
-        pairs = []
-        for chunk in args.pairs.split(";"):
-            i, j = (int(tok) for tok in chunk.split(","))
-            pairs.append((i, j))
+        try:
+            pairs = _parse_pairs(args.pairs, d)
+        except ValueError as exc:
+            return _input_error(str(exc), args.out)
     else:
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     labels = [f"{names[i]}:{names[j]}" for i, j in pairs]

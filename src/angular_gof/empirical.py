@@ -39,7 +39,11 @@ def compute_ranks(sample: np.ndarray) -> np.ndarray:
     """Per-margin ranks in {1..n}; ties broken by order of appearance.
 
     The first occurrence of a tied value receives the smaller rank, which
-    keeps runs deterministic on real data with rounding ties.
+    keeps runs deterministic on real data with rounding ties.  Each column is
+    ordered by numpy's default (unstable) sort; only a column whose sorted
+    values have equal neighbours is sorted again with the stable sort.
+    Without ties the order is unique, so the ranks are those of the stable
+    sort either way.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2 or sample.shape[1] != 2 or sample.shape[0] < 2:
@@ -48,7 +52,11 @@ def compute_ranks(sample: np.ndarray) -> np.ndarray:
         raise ValueError("sample contains NaN entries")
     ranks = np.empty_like(sample, dtype=np.int64)
     for j in range(2):
-        order = np.argsort(sample[:, j], kind="stable")
+        col = sample[:, j]
+        order = np.argsort(col)
+        ordered = col[order]
+        if np.any(ordered[1:] == ordered[:-1]):
+            order = np.argsort(col, kind="stable")
         ranks[order, j] = np.arange(1, sample.shape[0] + 1)
     return ranks
 
@@ -60,6 +68,19 @@ def count_ties(sample: np.ndarray) -> int:
     for j in range(2):
         col = sample[:, j]
         total += int(col.size - np.unique(col).size)
+    return total
+
+
+def _ranked_ties(sample: np.ndarray, ranks: np.ndarray) -> int:
+    """``count_ties`` from the ranks of ``sample``, without another sort.
+
+    Each column is put in rank order and its equal neighbours are counted.
+    """
+    ordered = np.empty(sample.shape[0])
+    total = 0
+    for j in range(2):
+        ordered[ranks[:, j] - 1] = sample[:, j]
+        total += int(np.count_nonzero(ordered[1:] == ordered[:-1]))
     return total
 
 
@@ -126,6 +147,7 @@ def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
 def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> AngularDataset:
     """``select_exceedances`` on ranks already computed from ``sample``."""
     s = _survivors(ranks)
+    n_ties = _ranked_ties(sample, ranks)
     if math.isinf(p):
         mask = np.minimum(s[:, 0], s[:, 1]) <= k
     else:
@@ -135,13 +157,13 @@ def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> Ang
     if K == 0:
         return AngularDataset(
             k=k, K=0, angles=np.empty(0), weights=np.empty(0), p=p,
-            degenerate=True, n_ties=count_ties(sample),
+            degenerate=True, n_ties=n_ties,
         )
     angles = np.sort(np.arctan2(s[mask, 1], s[mask, 0]))
     weights = np.full(K, 1.0 / K)
     return AngularDataset(
         k=k, K=K, angles=angles, weights=weights, p=p,
-        degenerate=False, n_ties=count_ties(sample),
+        degenerate=False, n_ties=n_ties,
     )
 
 

@@ -121,6 +121,32 @@ class TestCommands:
         assert payload["status"] == "error"
         assert payload["message"].endswith(reason)
 
+    @pytest.mark.parametrize(
+        "spec,reason",
+        [("0,7", "'0,7' names a column outside 0..2"),
+         ("0-1", "'0-1' is not a pair of column indices 'i,j'"),
+         ("1,1", "'1,1' pairs a column with itself")],
+        ids=["out-of-range", "malformed", "self-pair"],
+    )
+    def test_bad_pairs_is_an_error_report(self, tmp_path, capsys, spec, reason):
+        path = tmp_path / "table.csv"
+        np.savetxt(path, np.random.default_rng(8).uniform(size=(200, 3)), delimiter=",")
+        rc = cli.main(["pairs", str(path), "--pairs", spec, "--B", "20"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["message"].endswith(reason)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_test_needs_two_columns(self, tmp_path, capsys, width):
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.random.default_rng(9).uniform(size=(200, width)), delimiter=",")
+        rc = cli.main(["test", str(path), "--B", "20"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["message"].endswith(f"test expects a two-column CSV, got {width} columns")
+
     def test_degenerate_exit_code(self, tmp_path):
         u = np.random.default_rng(6).uniform(size=300)
         path = tmp_path / "dg.csv"

@@ -52,6 +52,25 @@ class TestRanks:
         sample = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
         assert emp.count_ties(sample) == 1
 
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "constant"])
+    def test_stable_sort_ranks_and_ties(self, kind):
+        # the default sort with a stable fallback on equal neighbours gives
+        # the stable sort's ranks, and the tie count of np.unique
+        x = _rng(12).normal(size=(500, 2))
+        if kind == "rounded":
+            x = np.round(x, 2)
+        elif kind == "constant":
+            x[:, 1] = 3.0
+        ranks = emp.compute_ranks(x)
+        for j in range(2):
+            ref = np.empty(500, dtype=np.int64)
+            ref[np.argsort(x[:, j], kind="stable")] = np.arange(1, 501)
+            assert ranks[:, j].tobytes() == ref.tobytes()
+        n_ties = emp.count_ties(x)
+        assert (n_ties > 0) == (kind != "continuous")
+        assert emp.select_exceedances(x, 20, 2.0).n_ties == n_ties
+        assert emp.angular_dataset(x, 20, 2.0).n_ties == n_ties
+
 
 class TestExceedances:
     def test_count_matches_bruteforce(self):

@@ -5,7 +5,7 @@ integrates in the transformed variable u = sqrt|theta - pi/4| (du-sums are
 well-behaved there), which exercises a completely different code path from the
 cellwise panel quadrature under test.  ``wasserstein_oracle`` keeps the
 fixed-step bisection and 64-node cells as the reference for the regula falsi
-crossings and the 16-node cells.
+crossings and the Gauss-Kronrod cells.
 """
 
 import math
@@ -158,9 +158,11 @@ class _CountingLaw:
     def __init__(self, law):
         self.law = law
         self.calls = 0
+        self.points = 0
 
     def normalized_cdf(self, theta):
         self.calls += 1
+        self.points += np.size(theta)
         return self.law.normalized_cdf(theta)
 
 
@@ -212,17 +214,62 @@ class TestAgainstBisectionOracle:
         assert abs(root[0] - t0) <= 1e-11
 
 
-class TestEvaluationCount:
-    def test_hr_scenario_two(self):
-        # the power-study setting: HR scenario 2, n = 3000, k = 100
-        spec = datagen.scenario_copula(2, 0.4, "hr")
-        counts = []
+class TestKronrodRule:
+    def test_k15_exact_to_degree_23(self):
+        x, w = ws._GK_NODES, ws._GK_WEIGHTS[:, 0]
+        for k in range(24):
+            assert abs(w @ x**k - 1.0 / (k + 1)) <= 1e-15
+
+    def test_g7_is_leggauss_and_exact_to_degree_13(self):
+        gauss = ws._GK_WEIGHTS[:, 1] != 0.0
+        x, w = ws._GK_NODES[gauss], ws._GK_WEIGHTS[gauss, 1]
+        ref_x, ref_w = np.polynomial.legendre.leggauss(7)
+        np.testing.assert_allclose(x, (ref_x + 1.0) / 2.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, ref_w / 2.0, rtol=0, atol=1e-15)
+        for k in range(14):
+            assert abs(w @ x**k - 1.0 / (k + 1)) <= 1e-15
+
+
+@pytest.fixture(scope="class")
+def hr_scenario_two_counts():
+    """G calls, G points and crossing calls of ten power-study statistics:
+    HR scenario 2, n = 3000, k = 100."""
+    spec = datagen.scenario_copula(2, 0.4, "hr")
+    crossing_calls = []
+    real = ws._regula_falsi_crossings
+
+    def counting_crossings(G, *args):
+        def counted(theta):
+            crossing_calls[-1] += 1
+            return G(theta)
+
+        return real(counted, *args)
+
+    calls, points = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ws, "_regula_falsi_crossings", counting_crossings)
         for seed in range(10):
             x = datagen.sample(spec, 3000, np.random.default_rng(seed))
             ds = angular_dataset(x, 100, 2.0)
             law = _CountingLaw(get_law(make_model("hr", estimate_param("hr", ds.ell_hat_11).r), 2.0))
+            crossing_calls.append(0)
             ws.test_statistic(ds, law, WeightKind.INV_SQRT_PI4)
-            counts.append(law.calls)
+            calls.append(law.calls)
+            points.append(law.points)
+    return np.array(calls), np.array(points), np.array(crossing_calls)
+
+
+class TestEvaluationCount:
+    def test_hr_scenario_two(self, hr_scenario_two_counts):
+        counts = hr_scenario_two_counts[0]
         # one call on the partition, the crossings, and the panel levels
         assert np.mean(counts) <= 16
         assert max(counts) <= 1 + ws._ROOT_MAX_EVALS + 6
+
+    def test_g_points(self, hr_scenario_two_counts):
+        # about 175 pieces, most of them done after one 15-point panel
+        assert np.mean(hr_scenario_two_counts[1]) <= 4500
+
+    def test_crossing_calls(self, hr_scenario_two_counts):
+        # 5 or 6 crossings, iterated together
+        assert np.mean(hr_scenario_two_counts[2]) <= 5.5
