@@ -29,6 +29,8 @@ from .limitlaw import (
     GRID_PRESETS,
     CriticalValueTable,
     FieldGrid,
+    UnsupportedFeatureError,
+    check_table_inputs,
     critical_value_table,
 )
 from .experiments import (
@@ -95,6 +97,10 @@ def _input_error(message: str, out) -> int:
     """Report an unusable input as a JSON error report; exit code 1."""
     _emit({"status": "error", "message": message}, out)
     return 1
+
+
+def _k_range_error(k: int, n: int) -> str:
+    return f"--k must satisfy 1 <= k < n, got k={k}, n={n}"
 
 
 def _grid_from_args(args) -> FieldGrid:
@@ -192,6 +198,8 @@ def _cmd_test(args) -> int:
         )
     data = data[~np.any(np.isnan(data), axis=1)]
     k = args.k if args.k is not None else default_k(data.shape[0])
+    if not 1 <= k < data.shape[0]:
+        return _input_error(_k_range_error(k, data.shape[0]), args.out)
     report = run_single_test(
         data, args.family, k, p=args.p, q=WeightKind.from_name(args.q),
         B=args.B, seed=args.seed, grid=_grid_from_args(args),
@@ -202,10 +210,15 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_quantiles(args) -> int:
+    try:
+        r_grid = _parse_floats(args.r_grid)
+        alphas = tuple(_parse_floats(args.alpha))
+        check_table_inputs(args.family, args.p, r_grid, alphas, args.B)
+    except (ValueError, UnsupportedFeatureError) as exc:
+        return _input_error(str(exc), args.out)
     table = critical_value_table(
         args.family, args.p, _grid_from_args(args), WeightKind.from_name(args.q),
-        _parse_floats(args.r_grid), tuple(_parse_floats(args.alpha)),
-        args.B, seed=args.seed, threads=args.threads,
+        r_grid, alphas, args.B, seed=args.seed, threads=args.threads,
     )
     if args.cache:
         table.save(args.cache)
@@ -225,6 +238,8 @@ def _cmd_quantiles(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    if not 1 <= args.k < args.n:
+        return _input_error(_k_range_error(args.k, args.n), args.out)
     config = ScenarioConfig(
         family=args.family, scenario=args.scenario,
         lambdas=tuple(_parse_floats(args.lambdas)),
@@ -257,6 +272,8 @@ def _cmd_pairs(args) -> int:
         data, names = ingest_csv(args.input)
     except ValueError as exc:
         return _input_error(str(exc), args.out)
+    if args.k is not None and args.k < 1:
+        return _input_error(f"--k must be at least 1, got {args.k}", args.out)
     d = data.shape[1]
     if args.pairs:
         try:

@@ -26,15 +26,25 @@ marginal variances would be badly truncated for slowly-decaying families
 (Hüsler–Reiss loses ~25% of the unit strip at the default coverage).
 
 X is linear in the independent cell variables, so only its N x N covariance
-Sigma matters.  ``LimitLawSimulator`` assembles Sigma exactly from prefix
-sums of the cell masses and keeps the lower Cholesky factor F of
-Sigma + delta I, delta = 1e-11 max diag(Sigma) (Sigma is positive
-semidefinite and nearly singular, so the jitter makes the factorization
-succeed; Rasmussen & Williams 2006, Gaussian Processes for Machine Learning,
-App. A.2).  A draw is X = F eps with eps ~ N(0, I_N).  ``simulate_L`` draws
-replicates in blocks of 64: block j fills its 64 x N matrix of eps row by row
-from one generator keyed by (base_seed, j), and replicate b is row b % 64 of
-block b // 64, so its value depends on neither B nor the thread count.
+Sigma matters.  Each of alpha(theta_1..N), alpha(pi/2) and I gives cell
+(i, j) the coefficient a(i) + b(j) + s 1{(i, j) in its set}, and these
+strip tables are staircases: beyond the c_k midpoints on the chord of
+theta_k, Z_p(theta_k) integrates along the boundary curve, which does not
+depend on theta, so a_k equals the theta = pi/2 row a_pi from column c_k - 1
+on, and b_k vanishes beyond the largest W_2 index the row reaches.  On the
+paper grid (logistic r = 0.5, p = 2) a - a_pi and b are 7 % nonzero, and
+their blocks of 64 rows keep 10.7 % and 9.6 % of the dense tables.
+``LimitLawSimulator`` assembles Sigma exactly from those blocks, cut to
+their widest support, from prefix sums of the cell masses over the nested
+sets C_{p,theta}, and from one rank-3 update per side for the map to X, and
+keeps the lower Cholesky factor F of Sigma + delta I, delta = 1e-11 max
+diag(Sigma) (Sigma is positive semidefinite and nearly singular, so the
+jitter makes the factorization succeed; Rasmussen & Williams 2006, Gaussian
+Processes for Machine Learning, App. A.2).  A draw is X = F eps with
+eps ~ N(0, I_N).  ``simulate_L`` draws replicates in blocks of 64: block j
+fills its 64 x N matrix of eps row by row from one generator keyed by
+(base_seed, j), and replicate b is row b % 64 of block b // 64, so its value
+depends on neither B nor the thread count.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ __all__ = [
     "simulate_L",
     "quantile",
     "p_value",
+    "check_table_inputs",
     "critical_value_table",
     "block_rng",
 ]
@@ -163,64 +174,228 @@ def _c_bounds(grid: FieldGrid, p: float, theta: float) -> np.ndarray:
     return np.minimum(jcap, jtan)
 
 
-def _z_coefficients(model: Model, grid: FieldGrid, p: float, theta: np.ndarray):
-    """Midpoint-rule coefficients of Z_p(theta_k) in (W_1(x_m), W_2(.)).
+# Rows per block of the strip tables, and rows or columns per block of the
+# set masses, in _covariance.  A block of strip rows is stored, and multiplied, only up
+# to the widest column support among its rows.
+_ROW_BLOCK = 64
 
-    Returns (coef_w1, coef_w2, idx_w2), each of shape (len(theta), M-1), with
-    Z_p(theta_k) = coef_w1[k] . W1_mid + sum_m coef_w2[k, m] W2[idx_w2[k, m]],
-    where W1_mid[m] = W_1 at the m-th cell midpoint.  theta = pi/2 keeps only
-    the boundary-curve integral (the chordal integrand vanishes in that
-    limit).  The exponent density is evaluated in one call for all angles.
+
+@dataclass(frozen=True)
+class _StripTables:
+    """Strip coefficients a (W_1 strips, by row i) and b (W_2 strips, by
+    column j) of the rows (alpha(theta_1..N), alpha(pi/2), I), as a
+    staircase.
+
+    ``blocks`` holds (k0, A, B) per block of ``_ROW_BLOCK`` rows starting at
+    row k0.  Row k of A is a_k - a_pi for k <= N (a_pi is the theta = pi/2
+    row, ``a_pi``) and a_k itself for the I row; row k of B is b_k.  Both are
+    zero from column ``sa[k]`` (A) and ``sb[k]`` (B) on, and a block keeps
+    only the columns below its rows' widest support.
+    """
+
+    a_pi: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+    blocks: list
+
+
+def _strip_tables(model: Model, p: float, grid: FieldGrid) -> _StripTables:
+    """Strip coefficients of the midpoint-rule Z_p and of I, as a staircase.
+
+    Z_p(theta_k) sums over the cell midpoints x_m.  The c_k midpoints below
+    x_p(theta_k) lie on the chord: the point (x_m, x_m tan theta_k), with W_1
+    coefficient h lambda tan theta_k and W_2 coefficient -h lambda at the
+    W_2 index of x_m tan theta_k.  The midpoints beyond the chord and beyond
+    x = 1 lie on the boundary curve (x_m, y_p(x_m)), whose coefficients do
+    not depend on theta; the theta = pi/2 row takes every curve midpoint.
+    W1_mid[m] sums the rows i < m, so a_k(i) is the suffix sum of the W_1
+    coefficients over m > i, and equals a_pi(i) from the chord's end on.
+    W2 at index l sums the columns j < l, so b_k(j) sums the W_2
+    coefficients whose index exceeds j: a histogram of the chord entries,
+    and for the curve a difference of its suffix sums, since the curve's W_2
+    index does not increase along it.  Hence a_k - a_pi is zero from
+    column c_k - 1 on, and b_k from the largest W_2 index of the row on.
+    The I row is g ((1 - d_1) 1{i < i11}, (1 - d_2) 1{j < j11}).
     """
     h = grid.h
+    N = grid.N
     m = grid.M - 1
+    R = N + 2
+    theta = grid.theta_grid()
+    tan = np.array([math.tan(t) for t in theta])
     xm = (np.arange(m) + 0.5) * h
-    xp = geometry.x_p_of_theta(p, theta)
-    chordal = theta < PI_2
-    tan = np.zeros(theta.size)
-    tan[chordal] = [math.tan(t) for t in theta[chordal]]
+    g, (x0, y0) = expansion_constants(model)
+    d1, d2 = model.stdf_partials(x0, y0)
+    i11 = int(marg_index(x0, grid))
+    j11 = int(marg_index(y0, grid))
 
-    # Boundary-curve part: midpoints beyond max(x_p(theta), 1).  The curve
-    # point (x, y_p(x)) does not depend on theta.
-    beyond = xm > 1.0
-    x2 = xm[beyond]
-    y2 = geometry.y_p(p, x2)
-    # Chordal part: midpoints below x_p(theta), on the ray of angle theta.
-    rows1, cols1 = np.nonzero((xm[None, :] < xp[:, None]) & chordal[:, None])
+    # Chord entries, row by row: row k holds midpoints 0..c[k]-1, and the
+    # theta = pi/2 row none.
+    c = np.zeros(N + 1, dtype=np.int64)
+    c[:N] = np.searchsorted(xm, geometry.x_p_of_theta(p, theta))
+    start = np.zeros(N + 2, dtype=np.int64)
+    np.cumsum(c, out=start[1:])
+    rows1 = np.repeat(np.arange(N + 1), c)
+    cols1 = np.arange(start[-1]) - start[rows1]
     y1 = xm[cols1] * tan[rows1]
+    # Curve midpoints m >= m1 (x_m > 1), and the exponent density at all
+    # points in one call.
+    m1 = int(np.searchsorted(xm, 1.0, side="right"))
+    x2 = xm[m1:]
+    y2 = geometry.y_p(p, x2)
     lam = model.exponent_density(np.concatenate([x2, xm[cols1]]), np.concatenate([y2, y1]))
     lam2, lam1 = lam[: x2.size], lam[x2.size:]
-
+    chord_w1 = h * lam1 * tan[rows1]
+    chord_w2 = -h * lam1
+    chord_idx = marg_index(y1, grid)
     curve_w1 = np.zeros(m)
+    curve_w1[m1:] = -h * lam2 * geometry.y_p_prime_abs(p, x2)
     curve_w2 = np.zeros(m)
-    curve_idx = np.zeros(m, dtype=np.int64)
-    curve_w1[beyond] = -h * lam2 * geometry.y_p_prime_abs(p, x2)
-    curve_w2[beyond] = -h * lam2
-    curve_idx[beyond] = marg_index(y2, grid)
-    on_curve = xm[None, :] > np.maximum(xp, 1.0)[:, None]
-    coef_w1 = np.where(on_curve, curve_w1, 0.0)
-    coef_w2 = np.where(on_curve, curve_w2, 0.0)
-    idx_w2 = np.where(on_curve, curve_idx, 0)
-    coef_w1[rows1, cols1] = h * lam1 * tan[rows1]
-    coef_w2[rows1, cols1] = -h * lam1
-    idx_w2[rows1, cols1] = marg_index(y1, grid)
-    return coef_w1, coef_w2, idx_w2
+    curve_w2[m1:] = -h * lam2
+    # W_2 index of each curve midpoint; those before the curve get M and a
+    # sentinel 0 follows the last, so the array is nonincreasing and
+    # mu[j] = #{m : curve_idx[m] > j}.
+    curve_idx = np.full(m + 1, grid.M, dtype=np.int64)
+    curve_idx[m1:m] = marg_index(y2, grid)
+    curve_idx[m] = 0
+    mu = np.searchsorted(-curve_idx, -np.arange(m))
+    # a_pi(i) = sum_{m > i} curve_w1[m]; S[l] = sum_{m >= l} curve_w2[m].
+    a_pi = np.zeros(m)
+    np.cumsum(curve_w1[:0:-1], out=a_pi[-2::-1])
+    S = np.zeros(m + 1)
+    np.cumsum(curve_w2[::-1], out=S[-2::-1])
+
+    # Column supports: a_k - a_pi below c_k - 1; b_k below the largest W_2
+    # index of its chord (its last entry) and of its curve part (its first).
+    sa = np.append(np.maximum(c - 1, 0), i11)
+    chord_top = np.where(c > 0, chord_idx[np.maximum(start[1:] - 1, 0)], 0)
+    sb = np.append(np.maximum(chord_top, curve_idx[np.maximum(c, m1)]), j11)
+
+    blocks = []
+    for k0 in range(0, R, _ROW_BLOCK):
+        k1 = min(k0 + _ROW_BLOCK, R)
+        wa = int(sa[k0:k1].max())
+        wb = int(sb[k0:k1].max())
+        A = np.zeros((k1 - k0, wa))
+        B = np.zeros((k1 - k0, wb))
+        ka = min(k1, N + 1)
+        e = slice(start[k0], start[ka])
+        local = rows1[e] - k0
+        D = np.zeros((k1 - k0, wa + 1))
+        D[local, cols1[e]] = chord_w1[e] - curve_w1[cols1[e]]
+        np.cumsum(D[:, :0:-1], axis=1, out=A[:, ::-1])
+        hist = np.bincount(
+            local * (wb + 1) + chord_idx[e], weights=chord_w2[e],
+            minlength=(k1 - k0) * (wb + 1),
+        ).reshape(k1 - k0, wb + 1)
+        np.cumsum(hist[:, :0:-1], axis=1, out=B[:, ::-1])
+        ck = c[k0:ka, None]
+        B[: ka - k0] += S[ck] - S[np.maximum(mu[:wb], ck)]
+        if k1 == R:
+            A[-1, :i11] = g * (1.0 - d1)
+            B[-1, :j11] = g * (1.0 - d2)
+        blocks.append((k0, A, B))
+    return _StripTables(a_pi=a_pi, sa=sa, sb=sb, blocks=blocks)
 
 
-def _to_X(rows: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndarray:
-    """Apply the map (alpha(theta_1..N), alpha(pi/2), I) -> X along axis 0.
+def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int, j11: int):
+    """Mass of each set S_r in each row and each column of the grid.
 
-    ``rows`` has N + 2 rows and is updated in place; the returned view holds
-    the N rows of X.  The map is the identity plus three rank-one terms (the
-    beta step, the gamma step with f_prime_c = dtheta f' / sigma_Q^2(f), and
-    the gradient term), applied as row updates.
+    S_r is C_{p,theta_r} for r < N, C_{p,pi/2} for r = N, and for r = N + 1
+    the block i < i11, j < j11.  By ``_c_bounds`` row i of C_{p,theta_r}
+    holds the columns j < e_ir = min(floor(i tan theta_r) + 1, bound_i), with
+    bound the pi/2 bounds, so u[i, r] is a prefix sum of row i at e_ir.
+    bound does not increase with i (y_p decreases) and floor(i tan theta_r)
+    does not decrease, so column j of C_{p,theta_r} holds the rows
+    lo_jr <= i < hi_j, and v[j, r] is a difference of two prefix sums of
+    column j.  The sets are staircases too: in a block of rows that lies
+    beyond the chord of theta_r, e_ir = bound_i and u[i, r] = u[i, N], and
+    in a block of columns above the set, v[j, r] = 0; only the rest is
+    gathered, and prefix sums run only as far as the block's bound.
+    Returns u and v of shape (M-1, N+2) and in_block[r], the mass of S_r
+    inside the I block, for r <= N.
+    """
+    N = grid.N
+    m = grid.M - 1
+    tan = np.array([math.tan(t) for t in grid.theta_grid()])
+    bound = _c_bounds(grid, p, PI_2)
+    u = np.empty((m, N + 2))
+    v = np.zeros((m, N + 2))
+    prefix = np.zeros((_ROW_BLOCK, m + 1))
+    flat = prefix.ravel()
+    offsets = np.arange(_ROW_BLOCK)[:, None] * (m + 1)
+    for i0 in range(0, m, _ROW_BLOCK):
+        i1 = min(i0 + _ROW_BLOCK, m)
+        rows = np.arange(i1 - i0)
+        width = bound[i0:i1].max()
+        np.cumsum(masses[i0:i1, :width], axis=1, out=prefix[: i1 - i0, 1 : width + 1])
+        u[i0:i1, N] = prefix[rows, bound[i0:i1]]
+        # Angles whose chord reaches past row i0; the rest give e_ir = bound_i.
+        inside = np.flatnonzero(np.floor(i0 * tan) + 1 < bound[i0])
+        r1 = int(inside[-1]) + 1 if inside.size else 0
+        ends = np.minimum(np.floor(np.arange(i0, i1)[:, None] * tan[:r1]) + 1, bound[i0:i1, None])
+        u[i0:i1, :r1] = flat[ends.astype(np.int64) + offsets[rows]]
+        u[i0:i1, r1:N] = u[i0:i1, N:N + 1]
+
+    # hi[j] = #{i : bound_i > j}; lo[j, r] = #{i : floor(i tan theta_r) < j},
+    # from ceil(j / tan theta_r) corrected by one step either way where the
+    # rounded product floor(i tan theta_r) decides otherwise.
+    hi = np.searchsorted(-bound, -np.arange(m))
+    for j0 in range(0, m, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, m)
+        cols = np.arange(j1 - j0)
+        height = hi[j0:j1].max()
+        np.cumsum(masses[:height, j0:j1].T, axis=1, out=prefix[: j1 - j0, 1 : height + 1])
+        top = prefix[cols, hi[j0:j1]]
+        v[j0:j1, N] = top
+        # Angles whose set reaches column j0 below row hi[j0]; the rest hold
+        # no cell of the block's columns.
+        reach = np.flatnonzero(np.floor((hi[j0] - 1) * tan) >= j0)
+        r0 = int(reach[0]) if reach.size else N
+        j = np.arange(j0, j1, dtype=float)[:, None]
+        lo = np.minimum(np.ceil(j / tan[r0:]), m)
+        lo -= np.floor((lo - 1.0) * tan[r0:]) >= j
+        lo += np.floor(lo * tan[r0:]) < j
+        np.minimum(lo, hi[j0:j1, None], out=lo)
+        v[j0:j1, r0:N] = top[:, None] - flat[lo.astype(np.int64) + offsets[cols]]
+
+    # The I block and the sets' mass inside it.
+    block = masses[:i11, :j11]
+    u[:, N + 1] = 0.0
+    u[:i11, N + 1] = block.sum(axis=1)
+    v[:j11, N + 1] = block.sum(axis=0)
+    pre = np.zeros((i11, j11 + 1))
+    np.cumsum(block, axis=1, out=pre[:, 1:])
+    ends = np.empty((i11, N + 1))
+    ends[:, :N] = np.floor(np.arange(i11)[:, None] * tan) + 1
+    ends[:, N] = j11
+    np.minimum(ends, np.minimum(bound[:i11], j11)[:, None], out=ends)
+    in_block = np.take_along_axis(pre, ends.astype(np.int64), axis=1).sum(axis=0)
+    return u, v, in_block
+
+
+def _to_X(sigma: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndarray:
+    """Map the covariance of (alpha(theta_1..N), alpha(pi/2), I) to that of X.
+
+    X = (alpha - Q alpha(pi/2) + int_f w - total_mass grad_Q I) / total_mass
+    with w = f_prime_c . (alpha - Q alpha(pi/2)) (the beta step, the gamma
+    step with f_prime_c = dtheta f' / sigma_Q^2(f), and the gradient term):
+    the identity plus the rank-3 product of U = (-Q, int_f, -total_mass
+    grad_Q) and (alpha(pi/2), w, I).  Applied to the rows of ``sigma`` and
+    then to the columns of the result, each side one GEMV for w and one
+    rank-3 update, in place; returns the N x N view.
     """
     n = Q.size
-    out = rows[:n]
-    out -= np.outer(Q, rows[n])
-    out += np.outer(int_f, f_prime_c @ out)
+    U = np.stack([-Q, int_f, -total_mass * grad_Q], axis=1)
+    fq = float(f_prime_c @ Q)
+    rows = sigma[:n]
+    w = f_prime_c @ rows - fq * sigma[n]
+    rows += U @ np.stack([sigma[n], w, sigma[n + 1]])
+    rows /= total_mass
+    out = sigma[:n, :n]
+    w = out @ f_prime_c - fq * sigma[:n, n]
+    out += np.stack([sigma[:n, n], w, sigma[:n, n + 1]], axis=1) @ U.T
     out /= total_mass
-    out -= np.outer(grad_Q, rows[n + 1])
     return out
 
 
@@ -229,105 +404,70 @@ def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> n
 
     Row r of alpha_ext = (alpha(theta_1..N), alpha(pi/2), I) gives cell (i, j)
     the coefficient a_r(i) + b_r(j) + s_r 1{(i, j) in S_r}: a_r collects the
-    W_1 strips (a suffix sum of the Z_p coefficients), b_r the W_2 strips (a
-    reverse-cumulative histogram of the Z_p coefficients by W_2 index), and
-    S_r is C_{p,theta} (s_r = 1) or, for the I row, the block below (1, 1)
+    W_1 strips and b_r the W_2 strips (``_strip_tables``), and S_r is
+    C_{p,theta} (s_r = 1) or, for the I row, the block below (1, 1)
     (s_r = -g).  The row overflow cell carries a_r(i) alone and the column
-    overflow cell b_r(j) alone.  The C-set bounds are monotone in theta, so
-    cell (i, j) lies in S_k exactly for k >= kappa_ij and the indicator cross
-    terms are prefix sums of mass histograms over kappa.
+    overflow cell b_r(j) alone.  With u and v the set masses per row and
+    column (``_set_masses``, times s_r),
+
+        Sigma_alpha = sym(a (masses b' + u + D_row a' / 2) + b (v + D_col b' / 2)) + K,
+
+    where sym(A) = A + A' and K holds the set-set terms: the sets C are
+    nested, so mass(S_k & S_l) = set_mass[min(k, l)].  The strip tables are
+    staircases, a = A + e a_pi (e the indicator of the alpha rows) and b = B,
+    so each product runs block by block over the nonzero columns of A and B
+    only, and a_pi enters as one GEMV.
     """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
     N = grid.N
-    m = grid.M - 1
     R = N + 2
-    theta_ext = np.append(grid.theta_grid(), PI_2)
     g, (x0, y0) = expansion_constants(model)
-    d1, d2 = model.stdf_partials(x0, y0)
     i11 = int(marg_index(x0, grid))
     j11 = int(marg_index(y0, grid))
-
-    # Strip coefficients, shape (R, m): a[r, i] of row i (W_1), b[r, j] of
-    # column j (W_2).
-    coef_w1, coef_w2, idx_w2 = _z_coefficients(model, grid, p, theta_ext)
-    a = np.zeros((R, m))
-    np.cumsum(coef_w1[:, :0:-1], axis=1, out=a[: N + 1, -2::-1])
-    del coef_w1
-    idx_w2 += (np.arange(N + 1) * grid.M)[:, None]
-    hist = np.bincount(
-        idx_w2.ravel(), weights=coef_w2.ravel(), minlength=(N + 1) * grid.M
-    ).reshape(N + 1, grid.M)
-    del coef_w2, idx_w2
-    b = np.zeros((R, m))
-    np.cumsum(hist[:, :0:-1], axis=1, out=b[: N + 1, ::-1])
-    del hist
-    a[N + 1, :i11] = g * (1.0 - d1)
-    b[N + 1, :j11] = g * (1.0 - d2)
+    tables = _strip_tables(model, p, grid)
 
     masses = cell_masses(model, grid)
     row_of, col_of = overflow_masses(model, grid, masses)
     row_tot = masses.sum(axis=1) + row_of
     col_tot = masses.sum(axis=0) + col_of
-
-    # u[i, r] and v[j, r]: s_r times the mass of S_r in row i and column j.
-    # kappa (per row i) holds for each column j the first index of theta_ext
-    # whose set includes cell (i, j), or N + 1 if none does.  By _c_bounds,
-    # C_{p,pi/2} holds the cells j < bound_N[i], and C_{p,theta_k} (k < N)
-    # those of them with j < floor(i tan theta_k) + 1, nondecreasing in k.
-    bound_N = _c_bounds(grid, p, PI_2)
-    tan = np.array([math.tan(t) for t in theta_ext[:N]])
-    cols = np.arange(m)
-    u = np.zeros((m, R))
-    v = np.zeros((m, R))
-    set_in_block = np.zeros(R)
-    for i in range(m):
-        kappa = np.searchsorted(np.floor(i * tan) + 1, cols, side="right")
-        kappa[bound_N[i]:] = N + 1
-        u[i] = np.bincount(kappa, weights=masses[i], minlength=R)
-        v[cols, kappa] += masses[i]
-        if i < i11:
-            set_in_block += np.bincount(kappa[:j11], weights=masses[i, :j11], minlength=R)
-    np.cumsum(u, axis=1, out=u)
-    np.cumsum(v, axis=1, out=v)
-    np.cumsum(set_in_block, out=set_in_block)
-    block = masses[:i11, :j11]
-    u[:, N + 1] = 0.0
-    u[:i11, N + 1] = -g * block.sum(axis=1)
-    v[:, N + 1] = 0.0
-    v[:j11, N + 1] = -g * block.sum(axis=0)
-    block_mass = float(block.sum())
+    u, v, set_in_block = _set_masses(masses, grid, p, i11, j11)
+    u[:, N + 1] *= -g
+    v[:, N + 1] *= -g
+    block_mass = float(masses[:i11, :j11].sum())
     set_mass = u[:, : N + 1].sum(axis=0)
 
-    # Sigma_alpha = a D_row a' + b D_col b' + sym(a (masses b' + u) + b v) + K
-    #             = sym(a (masses b' + u + D_row a' / 2) + b (v + D_col b' / 2)) + K.
-    u += masses @ b.T
+    for k0, A, B in tables.blocks:
+        k1 = k0 + A.shape[0]
+        wa, wb = A.shape[1], B.shape[1]
+        u[:, k0:k1] += masses[:, :wb] @ B.T
+        u[:wa, k0:k1] += 0.5 * row_tot[:wa, None] * A.T
+        v[:wb, k0:k1] += 0.5 * col_tot[:wb, None] * B.T
+    u[:, : N + 1] += (0.5 * row_tot * tables.a_pi)[:, None]
     del masses
-    u += 0.5 * row_tot[:, None] * a.T
-    v += 0.5 * col_tot[:, None] * b.T
-    sigma = a @ u
-    del a, u
-    sigma += b @ v
-    del b, v
+    sigma = np.empty((R, R))
+    for k0, A, B in tables.blocks:
+        k1 = k0 + A.shape[0]
+        np.matmul(A, u[: A.shape[1]], out=sigma[k0:k1])
+        sigma[k0:k1] += B @ v[: B.shape[1]]
+    sigma[: N + 1] += tables.a_pi @ u
+    del u, v
     sigma += sigma.T.copy()
-    # The sets are nested, so mass(S_k & S_l) = set_mass[min(k, l)], and
-    # set_mass is nondecreasing.
     sigma[: N + 1, : N + 1] += np.minimum.outer(set_mass, set_mass)
-    sigma[: N + 1, N + 1] -= g * set_in_block[: N + 1]
-    sigma[N + 1, : N + 1] -= g * set_in_block[: N + 1]
+    sigma[: N + 1, N + 1] -= g * set_in_block
+    sigma[N + 1, : N + 1] -= g * set_in_block
     sigma[N + 1, N + 1] += g * g * block_mass
 
     law = get_law(model, p, tol)
-    theta = theta_ext[:N]
-    args = (
+    theta = grid.theta_grid()
+    return _to_X(
+        sigma,
         law.normalized_cdf(theta),
         law.f_integral(theta),
         (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
         law.total_mass,
         grad_normalized_cdf(model, p, theta, tol),
     )
-    _to_X(_to_X(sigma, *args).T, *args)
-    return sigma[:N, :N]
 
 
 # Diagonal jitter of the Cholesky factorization, relative to max diag(Sigma).
@@ -554,6 +694,26 @@ class CriticalValueTable:
         )
 
 
+def check_table_inputs(family: str, p: float, r_grid, alphas, B: int) -> None:
+    """Raise for inputs ``critical_value_table`` cannot tabulate.
+
+    ValueError for an unknown family, an empty r grid or an r outside the
+    family's range, a level outside (0, 1) or B < 1, and
+    ``UnsupportedFeatureError`` for p = inf.  Nothing is built.
+    """
+    if math.isinf(p):
+        raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
+    if B < 1:
+        raise ValueError(f"B must be >= 1, got {B}")
+    if len(r_grid) == 0:
+        raise ValueError("the r grid is empty")
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {a:g}")
+    for r in r_grid:
+        make_model(family, float(r))
+
+
 def critical_value_table(
     family: str,
     p: float,
@@ -568,8 +728,10 @@ def critical_value_table(
     """Simulate L on an r grid and tabulate the requested quantiles.
 
     Replicate streams are keyed by (seed, r-index, b) so the table is
-    deterministic and independent of scheduling.
+    deterministic and independent of scheduling.  The inputs are checked by
+    ``check_table_inputs`` before any simulator is built.
     """
+    check_table_inputs(family, p, r_grid, alphas, B)
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
     alphas = tuple(float(a) for a in alphas)
     quants = np.empty((r_grid.size, len(alphas)))

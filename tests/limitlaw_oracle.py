@@ -6,6 +6,11 @@ from its prefix sums, one angle at a time.  This is the construction that
 ``limitlaw.LimitLawSimulator`` replaces by an exact covariance: pushing unit
 vectors through it yields the linear map G from the cell variables to X, and
 G G' is the covariance the simulator assembles in closed form.
+
+``dense_covariance`` is the closed-form assembly over dense
+(N + 2) x (M - 1) strip tables that the simulator's staircase assembly
+replaces; it agrees with ``field_covariance`` and serves as the oracle on
+grids too large for the field.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ def eval_W_on_A(field: GaussianField, x: float, y: float) -> float:
 def z_coefficients(model, grid, p: float, theta: float):
     """Midpoint-rule coefficients of Z_p(theta) in (W_1(x_m), W_2(.)), one
     angle at a time: (coef_w1, coef_w2, idx_w2) as in
-    ``limitlaw._z_coefficients``."""
+    ``dense_z_coefficients``."""
     h = grid.h
     m = grid.M - 1
     xm = (np.arange(m) + 0.5) * h
@@ -179,3 +184,152 @@ def field_covariance(model, p: float, grid) -> np.ndarray:
         z.flat[idx] = 0.0
     G = x_from_alpha(np.column_stack(cols), model, p, grid)
     return G @ G.T
+
+
+def dense_z_coefficients(model, grid, p: float, theta: np.ndarray):
+    """Midpoint-rule coefficients of Z_p(theta_k) in (W_1(x_m), W_2(.)) for
+    all angles at once, as dense tables of shape (len(theta), M-1):
+    Z_p(theta_k) = coef_w1[k] . W1_mid + sum_m coef_w2[k, m] W2[idx_w2[k, m]],
+    with W1_mid[m] = W_1 at the m-th cell midpoint.  theta = pi/2 keeps only
+    the boundary-curve integral."""
+    h = grid.h
+    m = grid.M - 1
+    xm = (np.arange(m) + 0.5) * h
+    xp = geometry.x_p_of_theta(p, theta)
+    chordal = theta < PI_2
+    tan = np.zeros(theta.size)
+    tan[chordal] = [math.tan(t) for t in theta[chordal]]
+
+    beyond = xm > 1.0
+    x2 = xm[beyond]
+    y2 = geometry.y_p(p, x2)
+    rows1, cols1 = np.nonzero((xm[None, :] < xp[:, None]) & chordal[:, None])
+    y1 = xm[cols1] * tan[rows1]
+    lam = model.exponent_density(np.concatenate([x2, xm[cols1]]), np.concatenate([y2, y1]))
+    lam2, lam1 = lam[: x2.size], lam[x2.size:]
+
+    curve_w1 = np.zeros(m)
+    curve_w2 = np.zeros(m)
+    curve_idx = np.zeros(m, dtype=np.int64)
+    curve_w1[beyond] = -h * lam2 * geometry.y_p_prime_abs(p, x2)
+    curve_w2[beyond] = -h * lam2
+    curve_idx[beyond] = ll.marg_index(y2, grid)
+    on_curve = xm[None, :] > np.maximum(xp, 1.0)[:, None]
+    coef_w1 = np.where(on_curve, curve_w1, 0.0)
+    coef_w2 = np.where(on_curve, curve_w2, 0.0)
+    idx_w2 = np.where(on_curve, curve_idx, 0)
+    coef_w1[rows1, cols1] = h * lam1 * tan[rows1]
+    coef_w2[rows1, cols1] = -h * lam1
+    idx_w2[rows1, cols1] = ll.marg_index(y1, grid)
+    return coef_w1, coef_w2, idx_w2
+
+
+def dense_strip_tables(model, p: float, grid):
+    """The strip coefficient tables a (W_1, by row i) and b (W_2, by column
+    j), dense, shape (N + 2, M - 1): rows alpha(theta_1..N), alpha(pi/2), I."""
+    N = grid.N
+    m = grid.M - 1
+    R = N + 2
+    theta_ext = np.append(grid.theta_grid(), PI_2)
+    g, (x0, y0) = expansion_constants(model)
+    d1, d2 = model.stdf_partials(x0, y0)
+    i11 = int(ll.marg_index(x0, grid))
+    j11 = int(ll.marg_index(y0, grid))
+    coef_w1, coef_w2, idx_w2 = dense_z_coefficients(model, grid, p, theta_ext)
+    a = np.zeros((R, m))
+    np.cumsum(coef_w1[:, :0:-1], axis=1, out=a[: N + 1, -2::-1])
+    idx_w2 = idx_w2 + (np.arange(N + 1) * grid.M)[:, None]
+    hist = np.bincount(
+        idx_w2.ravel(), weights=coef_w2.ravel(), minlength=(N + 1) * grid.M
+    ).reshape(N + 1, grid.M)
+    b = np.zeros((R, m))
+    np.cumsum(hist[:, :0:-1], axis=1, out=b[: N + 1, ::-1])
+    a[N + 1, :i11] = g * (1.0 - d1)
+    b[N + 1, :j11] = g * (1.0 - d2)
+    return a, b
+
+
+def dense_to_X(rows: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndarray:
+    """The map (alpha(theta_1..N), alpha(pi/2), I) -> X along axis 0, as the
+    identity plus three rank-one row updates; ``rows`` is updated in place."""
+    n = Q.size
+    out = rows[:n]
+    out -= np.outer(Q, rows[n])
+    out += np.outer(int_f, f_prime_c @ out)
+    out /= total_mass
+    out -= np.outer(grad_Q, rows[n + 1])
+    return out
+
+
+def dense_set_masses(masses, grid, p: float, i11: int, j11: int):
+    """Mass of each set S_r (C_{p,theta_1..N}, C_{p,pi/2}, the I block) in
+    each row and each column, shape (M - 1, N + 2), and the mass of
+    S_0..S_N inside the I block.  Per row, a histogram over the first angle
+    index whose set holds each cell, cumulated over the angles."""
+    N = grid.N
+    m = grid.M - 1
+    R = N + 2
+    bound_N = ll._c_bounds(grid, p, PI_2)
+    tan = np.array([math.tan(t) for t in grid.theta_grid()])
+    cols = np.arange(m)
+    u = np.zeros((m, R))
+    v = np.zeros((m, R))
+    set_in_block = np.zeros(R)
+    for i in range(m):
+        kappa = np.searchsorted(np.floor(i * tan) + 1, cols, side="right")
+        kappa[bound_N[i]:] = N + 1
+        u[i] = np.bincount(kappa, weights=masses[i], minlength=R)
+        v[cols, kappa] += masses[i]
+        if i < i11:
+            set_in_block += np.bincount(kappa[:j11], weights=masses[i, :j11], minlength=R)
+    np.cumsum(u, axis=1, out=u)
+    np.cumsum(v, axis=1, out=v)
+    np.cumsum(set_in_block, out=set_in_block)
+    block = masses[:i11, :j11]
+    u[:, N + 1] = 0.0
+    u[:i11, N + 1] = block.sum(axis=1)
+    v[:, N + 1] = 0.0
+    v[:j11, N + 1] = block.sum(axis=0)
+    return u, v, set_in_block[: N + 1]
+
+
+def dense_covariance(model, p: float, grid, tol: float = 1e-8) -> np.ndarray:
+    """Covariance of X assembled from the dense (N + 2) x (M - 1) strip
+    tables and the per-row histograms of ``dense_set_masses``."""
+    N = grid.N
+    g, (x0, y0) = expansion_constants(model)
+    i11 = int(ll.marg_index(x0, grid))
+    j11 = int(ll.marg_index(y0, grid))
+    a, b = dense_strip_tables(model, p, grid)
+
+    masses = ll.cell_masses(model, grid)
+    row_of, col_of = ll.overflow_masses(model, grid, masses)
+    row_tot = masses.sum(axis=1) + row_of
+    col_tot = masses.sum(axis=0) + col_of
+    u, v, set_in_block = dense_set_masses(masses, grid, p, i11, j11)
+    u[:, N + 1] *= -g
+    v[:, N + 1] *= -g
+    block_mass = float(masses[:i11, :j11].sum())
+    set_mass = u[:, : N + 1].sum(axis=0)
+
+    u += masses @ b.T
+    u += 0.5 * row_tot[:, None] * a.T
+    v += 0.5 * col_tot[:, None] * b.T
+    sigma = a @ u + b @ v
+    sigma += sigma.T.copy()
+    sigma[: N + 1, : N + 1] += np.minimum.outer(set_mass, set_mass)
+    sigma[: N + 1, N + 1] -= g * set_in_block
+    sigma[N + 1, : N + 1] -= g * set_in_block
+    sigma[N + 1, N + 1] += g * g * block_mass
+
+    law = get_law(model, p, tol)
+    theta = grid.theta_grid()
+    args = (
+        law.normalized_cdf(theta),
+        law.f_integral(theta),
+        (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
+        law.total_mass,
+        grad_normalized_cdf(model, p, theta, tol),
+    )
+    dense_to_X(dense_to_X(sigma, *args).T, *args)
+    return sigma[:N, :N]

@@ -147,6 +147,43 @@ class TestCommands:
         assert payload["status"] == "error"
         assert payload["message"].endswith(f"test expects a two-column CSV, got {width} columns")
 
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [(["test", "{csv}", "--k", "0"], "--k must satisfy 1 <= k < n, got k=0, n=3"),
+         (["test", "{csv}", "--k", "5"], "--k must satisfy 1 <= k < n, got k=5, n=3"),
+         (["pairs", "{csv}", "--k", "0"], "--k must be at least 1, got 0"),
+         (["power", "--k", "5000", "--n", "3000"], "--k must satisfy 1 <= k < n, got k=5000, n=3000")],
+        ids=["test-k0", "test-k-ge-n", "pairs-k0", "power-k-ge-n"],
+    )
+    def test_k_out_of_range_is_an_error_report(self, tmp_path, capsys, argv, reason):
+        path = tmp_path / "three.csv"
+        path.write_text("1.0,2.0\n3.0,1.0\n2.0,3.0\n")
+        rc = cli.main([arg.format(csv=path) for arg in argv] + ["--B", "20"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"status": "error", "message": reason}
+
+    @pytest.mark.parametrize(
+        "args,reason",
+        [(["--r-grid", "1.5"], "logistic parameter must lie in (0, 1], got 1.5"),
+         (["--B", "0"], "B must be >= 1, got 0"),
+         (["--alpha", "1"], "alpha must lie in (0, 1), got 1"),
+         (["--p", "inf"], "p = inf is not supported by the limit-law simulator")],
+        ids=["r-outside-family", "B0", "alpha1", "p-inf"],
+    )
+    def test_quantiles_inputs_checked_before_any_build(self, monkeypatch, capsys, args, reason):
+        from angular_gof import limitlaw
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a simulator was built")
+
+        monkeypatch.setattr(limitlaw, "get_simulator", no_build)
+        argv = ["quantiles", "--family", "logistic", "--r-grid", "0.5", "--B", "20"]
+        rc = cli.main(argv + args)
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"status": "error", "message": reason}
+
     def test_degenerate_exit_code(self, tmp_path):
         u = np.random.default_rng(6).uniform(size=300)
         path = tmp_path / "dg.csv"

@@ -13,9 +13,13 @@ Oracles:
   - F F' of the Cholesky factor against the assembled covariance, and E[L]
     from the row norms of F against E[L] from its diagonal, over a sweep of
     both families
+  - the staircase assembly (strip tables, set masses, covariance) against
+    the dense assembly it replaced (``limitlaw_oracle.dense_covariance``),
+    on the desk and paper grids
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ import pytest
 from angular_gof import geometry as g
 from angular_gof import limitlaw as ll
 from angular_gof.geometry import WeightKind
-from angular_gof.models import HuslerReissModel, LogisticModel
+from angular_gof.models import HuslerReissModel, LogisticModel, expansion_constants, get_law
 
 import limitlaw_oracle as lo
 
@@ -231,6 +235,99 @@ class TestSimulatorPipeline:
     def test_q_cells_sum_to_total_weight(self):
         sim = ll.LimitLawSimulator(LogisticModel(0.5), 2.0, TINY, WeightKind.INV_SQRT_PI4)
         assert sim._q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
+
+
+def _staircase_rows(tables, R):
+    """The dense (R, M-1) tables a - a_pi (alpha rows) and b rebuilt from the
+    staircase blocks."""
+    m = tables.a_pi.size
+    a = np.zeros((R, m))
+    b = np.zeros((R, m))
+    for k0, A, B in tables.blocks:
+        a[k0:k0 + A.shape[0], : A.shape[1]] = A
+        b[k0:k0 + B.shape[0], : B.shape[1]] = B
+    return a, b
+
+
+_DESK_CASES = [HuslerReissModel(r) for r in (0.05, 1.0, 8.0)] + [
+    LogisticModel(r) for r in (0.01, 0.5, 0.95)
+]
+
+
+class TestStaircaseAssembly:
+    """The staircase assembly against the dense one it replaced."""
+
+    @staticmethod
+    def _assert_close(model, p, grid):
+        expect = lo.dense_covariance(model, p, grid)
+        sigma = ll._covariance(model, p, grid)
+        assert np.max(np.abs(sigma - expect)) <= 1e-13 * np.max(np.diag(expect))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", _DESK_CASES, ids=lambda m: f"{m.family}-{m.r:g}")
+    def test_desk_covariance_matches_dense(self, model, p):
+        self._assert_close(model, p, ll.DESK_GRID)
+
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    def test_paper_covariance_matches_dense(self, model):
+        self._assert_close(model, 2.0, ll.PAPER_GRID)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    @pytest.mark.parametrize("grid", [TINY, ll.DESK_GRID, ll.PAPER_GRID],
+                             ids=["tiny", "desk", "paper"])
+    def test_strip_tables_and_supports(self, grid, model, p):
+        """Each row's declared support holds all of its dense nonzeros, and
+        the staircase reproduces the dense tables."""
+        N = grid.N
+        R = N + 2
+        a, b = lo.dense_strip_tables(model, p, grid)
+        tables = ll._strip_tables(model, p, grid)
+        a_stair, b_stair = _staircase_rows(tables, R)
+        np.testing.assert_allclose(a[N], tables.a_pi, rtol=1e-12, atol=1e-15)
+        a_off = a.copy()
+        a_off[: N + 1] -= tables.a_pi
+        cols = np.arange(grid.M - 1)
+        for table, support in ((a_off, tables.sa), (b, tables.sb)):
+            beyond = cols[None, :] >= support[:, None]
+            assert not np.any((table != 0.0) & beyond)
+        assert np.max(np.abs(a_stair - a_off)) <= 1e-12 * np.abs(a).max()
+        assert np.max(np.abs(b_stair - b)) <= 1e-12 * np.abs(b).max()
+        # a block stores no column beyond its rows' widest support
+        for k0, A, B in tables.blocks:
+            rows = slice(k0, k0 + A.shape[0])
+            assert A.shape[1] == tables.sa[rows].max()
+            assert B.shape[1] == tables.sb[rows].max()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    @pytest.mark.parametrize("grid", [TINY, ll.DESK_GRID], ids=["tiny", "desk"])
+    def test_set_masses_match_histograms(self, grid, model, p):
+        """Prefix-sum gathers hold the same cells as the per-row kappa
+        histograms: a cell counted on one side only would show as its mass."""
+        masses = ll.cell_masses(model, grid)
+        _, (x0, y0) = expansion_constants(model)
+        i11, j11 = int(ll.marg_index(x0, grid)), int(ll.marg_index(y0, grid))
+        got = ll._set_masses(masses, grid, p, i11, j11)
+        expect = lo.dense_set_masses(masses, grid, p, i11, j11)
+        for x, y in zip(got, expect):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-18)
+
+    def test_paper_build_memory(self):
+        """The paper-grid assembly (logistic r = 0.5, p = 2) peaks below
+        40 MiB of traced allocations; its result alone is 7.7 MiB."""
+        model = LogisticModel(0.5)
+        get_law(model, 2.0)
+        tracemalloc.start()
+        try:
+            ll._covariance(model, 2.0, ll.PAPER_GRID)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20, peak / 2**20
 
 
 # Families and parameters of the factorization sweep; r = 0.001 is the most
