@@ -21,12 +21,13 @@ from angular_gof import datagen as dg
 from angular_gof.experiments import run_pairwise_analysis
 from angular_gof.geometry import WeightKind
 from angular_gof.limitlaw import GRID_PRESETS
+from angular_gof.models import FAMILIES
 
 
 def build_table(n_pairs, n_bad, n, family, lam, seed):
     """Stack independent pairs column-wise; contaminated pairs come first."""
-    clean = dg.husler_reiss(1.0) if family == "hr" else dg.gumbel(2.0)
     dirty = dg.scenario_copula(2, lam, family)
+    clean = dirty.components[0]
     cols, labels, pair_idx = [], [], []
     for j in range(n_pairs):
         spec = dirty if j < n_bad else clean
@@ -48,7 +49,7 @@ def main(argv=None):
     ap.add_argument("--k", type=int, default=None)
     ap.add_argument("--lam", type=float, default=0.9,
                     help="contamination mixture weight")
-    ap.add_argument("--family", choices=["logistic", "hr"], default="hr")
+    ap.add_argument("--family", choices=tuple(FAMILIES), default="hr")
     ap.add_argument("--B", type=int, default=2000)
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)

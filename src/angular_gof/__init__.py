@@ -47,6 +47,7 @@ from .experiments import (
     TestReport,
     benjamini_hochberg,
     bonferroni,
+    fit,
     run_pairwise_analysis,
     run_power_study,
     run_single_test,
@@ -93,6 +94,7 @@ __all__ = [
     "TestReport",
     "benjamini_hochberg",
     "bonferroni",
+    "fit",
     "run_pairwise_analysis",
     "run_power_study",
     "run_single_test",

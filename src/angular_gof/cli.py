@@ -24,12 +24,14 @@ import numpy as np
 
 from .empirical import default_k
 from .geometry import WeightKind
+from .models import FAMILIES
 from .limitlaw import (
     DESK_GRID,
     GRID_PRESETS,
     CriticalValueTable,
     FieldGrid,
     UnsupportedFeatureError,
+    check_draw_inputs,
     check_table_inputs,
     critical_value_table,
 )
@@ -132,7 +134,7 @@ def _parse_pairs(text: str, d: int) -> list:
 
 
 def _add_common(sp, B_default: int):
-    sp.add_argument("--family", choices=("logistic", "hr"), default="logistic")
+    sp.add_argument("--family", choices=tuple(FAMILIES), default="logistic")
     sp.add_argument("--p", type=float, default=2.0, help="exceedance-region norm order")
     sp.add_argument("--q", choices=("const", "invsqrt"), default="invsqrt",
                     help="weight function in the Wasserstein distance")
@@ -189,8 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_test(args) -> int:
     try:
+        alphas = tuple(_parse_floats(args.alpha))
+        check_draw_inputs(args.p, alphas, args.B)
         data, _ = ingest_csv(args.input)
-    except ValueError as exc:
+    except (ValueError, UnsupportedFeatureError) as exc:
         return _input_error(str(exc), args.out)
     if data.shape[1] != 2:
         return _input_error(
@@ -203,7 +207,7 @@ def _cmd_test(args) -> int:
     report = run_single_test(
         data, args.family, k, p=args.p, q=WeightKind.from_name(args.q),
         B=args.B, seed=args.seed, grid=_grid_from_args(args),
-        alphas=tuple(_parse_floats(args.alpha)), threads=args.threads,
+        alphas=alphas, threads=args.threads,
     )
     _emit(report.to_dict(), args.out)
     return 0 if report.status == "ok" else 1
@@ -238,6 +242,10 @@ def _cmd_quantiles(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    try:
+        check_draw_inputs(args.p, (args.alpha,), args.B)
+    except (ValueError, UnsupportedFeatureError) as exc:
+        return _input_error(str(exc), args.out)
     if not 1 <= args.k < args.n:
         return _input_error(_k_range_error(args.k, args.n), args.out)
     config = ScenarioConfig(
@@ -269,8 +277,9 @@ def _cmd_power(args) -> int:
 
 def _cmd_pairs(args) -> int:
     try:
+        check_draw_inputs(args.p, (args.alpha,), args.B)
         data, names = ingest_csv(args.input)
-    except ValueError as exc:
+    except (ValueError, UnsupportedFeatureError) as exc:
         return _input_error(str(exc), args.out)
     if args.k is not None and args.k < 1:
         return _input_error(f"--k must be at least 1, got {args.k}", args.out)

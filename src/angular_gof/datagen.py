@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HuslerReissModel, LogisticModel
+from .models import HuslerReissModel, LogisticModel, family_class
 
 __all__ = [
     "CopulaSpec",
@@ -28,8 +28,6 @@ __all__ = [
     "maxlinear",
     "mixture",
     "scenario_copula",
-    "copula_cdf",
-    "conditional_cdf",
     "sample",
 ]
 
@@ -88,10 +86,11 @@ def scenario_copula(scenario: int, lam: float, family: str = "logistic") -> Copu
     """The two mixture scenarios of the power studies.
 
     Scenario 1 contaminates with the comonotone copula, scenario 2 with the
-    max-linear factor copula; the base is Gumbel(2) (logistic r0 = 0.5) or the
-    Hüsler–Reiss copula with r0 = 1.
+    max-linear factor copula; the base is the family's ``scenario_base``:
+    Gumbel(2) (logistic r0 = 0.5) or the Hüsler–Reiss copula with r0 = 1.
+    An unknown family raises ValueError.
     """
-    base = gumbel(2.0) if family == "logistic" else husler_reiss(1.0)
+    base = CopulaSpec(*family_class(family).scenario_base)
     if scenario == 1:
         alt = comonotone()
     elif scenario == 2:
@@ -107,48 +106,6 @@ def _ev_model(spec: CopulaSpec):
     if spec.kind == "hr":
         return HuslerReissModel(spec.params[0])
     raise ValueError(f"{spec.kind} is not an extreme-value copula spec")
-
-
-def copula_cdf(spec: CopulaSpec, u, v):
-    """C(u, v) on the open unit square (vectorized)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if spec.kind == "comonotone":
-        out = np.minimum(u, v)
-    elif spec.kind == "maxlinear":
-        a11, a12, a21, a22 = spec.params
-        x, y = -np.log(u), -np.log(v)
-        out = np.exp(-(np.maximum(a11 * x, a21 * y) + np.maximum(a12 * x, a22 * y)))
-    elif spec.kind == "mixture":
-        lam = spec.params[0]
-        base, alt = spec.components
-        out = (1.0 - lam) * copula_cdf(base, u, v) + lam * copula_cdf(alt, u, v)
-    else:
-        model = _ev_model(spec)
-        out = np.exp(-model.stdf(-np.log(u), -np.log(v)))
-    return out[()] if np.ndim(out) == 0 else out
-
-
-def conditional_cdf(spec: CopulaSpec, u, v):
-    """dC/du (u, v): a CDF in v, used by the conditional-inversion sampler.
-
-    Only differentiable-in-u kinds are supported (extreme-value copulas and
-    their mixtures); the comonotone and max-linear copulas sample directly.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if spec.kind == "mixture":
-        lam = spec.params[0]
-        base, alt = spec.components
-        out = (1.0 - lam) * conditional_cdf(base, u, v) + lam * conditional_cdf(alt, u, v)
-    elif spec.kind in ("gumbel", "hr"):
-        model = _ev_model(spec)
-        x, y = -np.log(u), -np.log(v)
-        d1, _ = model.stdf_partials(x, y)
-        out = np.exp(-model.stdf(x, y)) * d1 / u
-    else:
-        raise ValueError(f"conditional_cdf unsupported for kind {spec.kind!r}")
-    return out[()] if np.ndim(out) == 0 else out
 
 
 # Bracket of the conditional-inversion root and the iteration cap.

@@ -1,12 +1,13 @@
-"""Experiment orchestration: single tests, power curves, multi-pair studies.
+"""Experiment orchestration: one fit, single tests, power curves, pairs.
 
-The single-test pipeline is: ranks -> exceedance angles -> Euclidean
-reweighting -> extremal-coefficient inversion for the parameter -> Wasserstein
-test statistic -> Monte-Carlo draws of the null law at the estimated
-parameter -> p-value and critical values.  Power studies amortize the
-Monte-Carlo cost over replicates by tabulating critical values on a parameter
-grid and interpolating, and multi-pair analyses apply Bonferroni /
-Benjamini-Hochberg corrections to the per-pair p-values.
+``fit`` is the one place a sample is fitted: ranks -> exceedance angles ->
+Euclidean reweighting -> extremal-coefficient inversion for the parameter ->
+Wasserstein test statistic.  ``run_single_test`` adds Monte-Carlo draws of
+the null law at the estimate, the p-value and critical values.  Power studies
+fit every replicate and interpolate one table of critical values on a
+parameter grid; multi-pair analyses run one single test per column pair,
+sharing draws between equal estimates, with Bonferroni / Benjamini-Hochberg
+corrections of the p-values.
 """
 
 from __future__ import annotations
@@ -17,32 +18,60 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import datagen
-from .empirical import DegenerateDataError, angular_dataset, default_k
+from .empirical import AngularDataset, DegenerateDataError, angular_dataset, default_k
 from .geometry import WeightKind
-from .limitlaw import (
-    DESK_GRID,
-    FieldGrid,
-    LimitLawDraws,
-    critical_value_table,
-    p_value,
-    quantile,
-    simulate_L,
-)
-from .models import QuadratureError, estimate_param, get_law, make_model
-from .wasserstein import test_statistic
+from .limitlaw import DESK_GRID, FieldGrid, critical_value_table, p_value, quantile, simulate_L
+from .models import (Model, ParamEstimate, QuadratureError, estimate_param, family_class,
+                     get_law, make_model)
+from .wasserstein import TestStatistic, test_statistic
 
 __all__ = [
+    "Fit",
     "TestReport",
     "ScenarioConfig",
     "PowerCurve",
     "PairResult",
     "MultiTestReport",
+    "fit",
     "run_single_test",
     "run_power_study",
     "bonferroni",
     "benjamini_hochberg",
     "run_pairwise_analysis",
 ]
+
+
+@dataclass
+class Fit:
+    """A sample fitted to a family, as far as the fit got: status "ok" sets
+    every field, "degenerate" only ``dataset`` (the exceedances cannot support
+    the weight estimator), "error" the fields computed before the
+    ``DegenerateDataError`` or ``QuadratureError`` named in ``message``."""
+
+    status: str = "ok"
+    message: str = ""
+    dataset: AngularDataset | None = None
+    estimate: ParamEstimate | None = None
+    model: Model | None = None
+    statistic: TestStatistic | None = None
+
+
+def fit(sample: np.ndarray, family: str, k: int, p: float = 2.0,
+        q: WeightKind = WeightKind.INV_SQRT_PI4) -> Fit:
+    """Angular dataset of the top k, r_hat from ell_hat(1,1), and T_n."""
+    out = Fit()
+    try:
+        out.dataset = angular_dataset(sample, k, p)
+        if out.dataset.degenerate:
+            out.status = "degenerate"
+            out.message = "exceedance set cannot support the weight estimator"
+            return out
+        out.estimate = estimate_param(family, out.dataset.ell_hat_11)
+        out.model = make_model(family, out.estimate.r)
+        out.statistic = test_statistic(out.dataset, get_law(out.model, p), q)
+    except (DegenerateDataError, QuadratureError) as exc:
+        out.status, out.message = "error", str(exc)
+    return out
 
 
 @dataclass
@@ -86,42 +115,39 @@ def run_single_test(
     grid: FieldGrid = DESK_GRID,
     alphas: tuple = (0.9, 0.95, 0.99),
     threads: int = 1,
-    draws: LimitLawDraws | None = None,
+    draw_memo: dict | None = None,
 ) -> TestReport:
     """Full goodness-of-fit test of ``family`` on one bivariate sample.
 
-    ``draws`` may supply pre-simulated null draws (they must match the
-    estimated parameter); otherwise B draws are simulated at r_hat.
+    B null draws are simulated at r_hat, unless ``draw_memo`` already holds
+    draws under the key round(r_hat, 12); new draws are stored there.  A
+    memo must only be shared between calls with the same p, q, B, seed and
+    grid.
     """
-    sample = np.asarray(sample, dtype=float)
+    res = fit(sample, family, k, p, q)
     report = TestReport(
-        status="ok", family=family, p=p, q=q.value, n=sample.shape[0], k=k,
-        B=B, seed=seed, grid=(grid.h, grid.M, grid.N),
+        status=res.status, family=family, p=p, q=q.value, n=len(sample), k=k,
+        B=B, seed=seed, grid=(grid.h, grid.M, grid.N), message=res.message,
     )
-    try:
-        ds = angular_dataset(sample, k, p)
-        report.K = ds.K
-        report.n_ties = ds.n_ties
-        report.ell_hat = ds.ell_hat_11
-        if ds.degenerate:
-            report.status = "degenerate"
-            report.message = "exceedance set cannot support the weight estimator"
-            return report
+    ds, est = res.dataset, res.estimate
+    if ds is not None:
+        report.K, report.n_ties, report.ell_hat = ds.K, ds.n_ties, ds.ell_hat_11
+    if est is not None:
         report.has_negative_weights = ds.has_negative_weights
-        est = estimate_param(family, ds.ell_hat_11)
-        report.r_hat = est.r
-        report.r_clamped = est.clamped
-        model = make_model(family, est.r)
-        law = get_law(model, p)
-        stat = test_statistic(ds, law, q)
-        report.t_value = stat.value
-        if draws is None:
-            draws = simulate_L(model, p, grid, q, B, base_seed=seed, threads=threads)
-        report.p_value = p_value(draws, stat.value)
-        report.critical_values = {a: quantile(draws, a) for a in alphas}
-    except (DegenerateDataError, QuadratureError) as exc:
-        report.status = "error"
-        report.message = str(exc)
+        report.r_hat, report.r_clamped = est.r, est.clamped
+    if res.status != "ok":
+        return report
+    report.t_value = res.statistic.value
+    memo = {} if draw_memo is None else draw_memo
+    key = round(est.r, 12)
+    try:
+        if key not in memo:
+            memo[key] = simulate_L(res.model, p, grid, q, B, base_seed=seed, threads=threads)
+    except QuadratureError as exc:
+        report.status, report.message = "error", str(exc)
+        return report
+    report.p_value = p_value(memo[key], report.t_value)
+    report.critical_values = {a: quantile(memo[key], a) for a in alphas}
     return report
 
 
@@ -164,17 +190,12 @@ def _data_rng(seed: int, lam_index: int, rep: int) -> np.random.Generator:
 
 
 def _r_grid_for(family: str, r_values: np.ndarray) -> np.ndarray:
-    """Parameter grid (pitch 0.05 logistic / 0.1 HR) covering observed r̂."""
-    pitch = 0.05 if family == "logistic" else 0.1
+    """Parameter grid at the family's pitch covering observed r̂, capped."""
+    cls = family_class(family)
+    pitch = cls.grid_pitch
     lo = math.floor(float(np.min(r_values)) / pitch) * pitch
     hi = math.ceil(float(np.max(r_values)) / pitch) * pitch
-    nodes = np.arange(lo, hi + pitch / 2, pitch)
-    if family == "logistic":
-        # Cap at 0.95: closer to independence the angular measure is nearly
-        # atomic and the CDF quadrature may not converge; interp clamps there.
-        nodes = np.clip(nodes, 1e-3, 0.95)
-    else:
-        nodes = np.clip(nodes, 1e-3, 8.0)
+    nodes = np.clip(np.arange(lo, hi + pitch / 2, pitch), 1e-3, cls.grid_cap)
     return np.unique(np.round(nodes, 10))
 
 
@@ -193,22 +214,12 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     def one_rep(li: int, rep: int):
         spec = datagen.scenario_copula(config.scenario, float(lambdas[li]), config.family)
         data = datagen.sample(spec, config.n, _data_rng(config.seed, li, rep))
-        ds = angular_dataset(data, config.k, config.p)
-        if ds.degenerate:
-            return None
-        est = estimate_param(config.family, ds.ell_hat_11)
-        model = make_model(config.family, est.r)
-        try:
-            law = get_law(model, config.p)
-            stat = test_statistic(ds, law, config.q)
-        except QuadratureError:
-            return None
-        return est.r, stat.value
+        res = fit(data, config.family, config.k, config.p, config.q)
+        return (res.estimate.r, res.statistic.value) if res.status == "ok" else None
 
-    stats = {
-        (li, rep): one_rep(li, rep) for li in range(lambdas.size) for rep in range(config.reps)
-    }
-    r_values = np.array([res[0] for res in stats.values() if res is not None])
+    # (r_hat, T_n) per replicate, None where the fit failed.
+    fits = [[one_rep(li, rep) for rep in range(config.reps)] for li in range(lambdas.size)]
+    r_values = np.array([res[0] for row in fits for res in row if res is not None])
     if r_values.size == 0:
         raise DegenerateDataError("all replicates failed")
     r_grid = _r_grid_for(config.family, r_values)
@@ -217,27 +228,15 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
         config.family, config.p, config.grid, config.q,
         r_grid, (q_level,), config.B, seed=config.seed, threads=threads,
     )
-
-    rates = np.empty(lambdas.size)
-    ses = np.empty(lambdas.size)
-    reps_ok = np.empty(lambdas.size, dtype=int)
-    failures = np.empty(lambdas.size, dtype=int)
-    for li in range(lambdas.size):
-        decisions = []
-        nfail = 0
-        for rep in range(config.reps):
-            res = stats[(li, rep)]
-            if res is None:
-                nfail += 1
-                continue
-            r_hat, t_val = res
-            decisions.append(t_val > table.interp(r_hat, q_level))
-        n_ok = len(decisions)
-        rate = float(np.mean(decisions)) if n_ok else math.nan
-        rates[li] = rate
-        ses[li] = math.sqrt(rate * (1.0 - rate) / n_ok) if n_ok else math.nan
-        reps_ok[li] = n_ok
-        failures[li] = nfail
+    decisions = [
+        [t_val > table.interp(r_hat, q_level) for r_hat, t_val in filter(None, row)]
+        for row in fits
+    ]
+    reps_ok = np.array([len(row) for row in decisions])
+    failures = config.reps - reps_ok
+    rates = np.array([float(np.mean(row)) if row else math.nan for row in decisions])
+    ses = np.array([math.sqrt(rate * (1.0 - rate) / n_ok) if n_ok else math.nan
+                    for rate, n_ok in zip(rates.tolist(), reps_ok.tolist())])
     return PowerCurve(
         lambdas=lambdas, rates=rates, ses=ses, reps=reps_ok, failures=failures,
         config=config, r_grid=r_grid, critical_alpha=config.alpha,
@@ -308,12 +307,11 @@ def run_pairwise_analysis(
     """
     table = np.asarray(table, dtype=float)
     results = []
-    draw_cache: dict = {}
+    draw_memo: dict = {}
     for idx, (c1, c2) in enumerate(pairs):
         label = labels[idx] if labels else f"{c1}-{c2}"
         cols = table[:, [c1, c2]]
-        complete = ~np.any(np.isnan(cols), axis=1)
-        data = cols[complete]
+        data = cols[~np.any(np.isnan(cols), axis=1)]
         n = data.shape[0]
         k_pair = k if k is not None else default_k(n)
         if n < 3 or k_pair >= n:
@@ -322,28 +320,11 @@ def run_pairwise_analysis(
                 B=B, seed=seed, grid=(grid.h, grid.M, grid.N),
                 message="not enough complete cases",
             )
-            results.append(PairResult(label, report))
-            continue
-        # Pre-estimate the parameter so null draws can be shared across pairs
-        # with an identical estimate.
-        try:
-            ds = angular_dataset(data, k_pair, p)
-            draws = None
-            if not ds.degenerate:
-                est = estimate_param(family, ds.ell_hat_11)
-                key = round(est.r, 12)
-                if key not in draw_cache:
-                    model = make_model(family, est.r)
-                    draw_cache[key] = simulate_L(
-                        model, p, grid, q, B, base_seed=seed, threads=threads
-                    )
-                draws = draw_cache[key]
-        except (DegenerateDataError, QuadratureError):
-            draws = None
-        report = run_single_test(
-            data, family, k_pair, p, q, B, seed=seed, grid=grid,
-            threads=threads, draws=draws,
-        )
+        else:
+            report = run_single_test(
+                data, family, k_pair, p, q, B, seed=seed, grid=grid,
+                threads=threads, draw_memo=draw_memo,
+            )
         results.append(PairResult(label, report))
 
     pvals = np.array([

@@ -2,8 +2,8 @@
 
 Pure functions shared by every other module: L_p norms, the boundary curve
 y_p of the unit-level exceedance region, the sphere parametrization x_p(theta),
-membership in the angular sets C_{p,theta}, and the moment-constraint function
-f (with derivative) used by the Euclidean-likelihood weights, plus the weight
+and the moment-constraint function f (with derivative) used by the
+Euclidean-likelihood weights, plus the exact cell integrals of the weight
 functions q for the Wasserstein integral.
 
 Conventions: all angles are in radians; p = infinity is represented by the
@@ -97,26 +97,6 @@ def x_p_of_theta(p: float, theta):
     return out
 
 
-def in_C_p_theta(p: float, theta: float, x, y):
-    """Membership of (x, y) in the angular set C_{p,theta}.
-
-    Three branches: at theta = 0 the set degenerates to the horizontal axis
-    plus the segment {inf} x [0,1]; at theta = pi/2 only the boundary curve
-    constrains; in between, y <= min(x tan(theta), y_p(x)).
-    """
-    if not 0.0 <= theta <= PI_2:
-        raise ValueError("theta must lie in [0, pi/2]")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if theta == 0.0:
-        out = (y == 0.0) | (np.isinf(x) & (y <= 1.0))
-    elif theta == PI_2:
-        out = y <= y_p(p, x)
-    else:
-        out = (y <= x * math.tan(theta)) & (y <= y_p(p, x))
-    return out[()] if out.ndim == 0 else out
-
-
 def constraint_f(p: float, theta):
     """Moment-constraint function f(theta) = (sin - cos)/||(sin, cos)||_p."""
     theta = np.asarray(theta, dtype=float)
@@ -148,18 +128,6 @@ class WeightKind(enum.Enum):
             if kind.value == name or kind.name == name:
                 return kind
         raise ValueError(f"unknown weight kind {name!r}")
-
-
-def weight_q(kind: WeightKind, theta):
-    """Evaluate q(theta); the singular kind diverges at theta = pi/4."""
-    theta = np.asarray(theta, dtype=float)
-    if kind is WeightKind.CONSTANT:
-        out = np.ones_like(theta)
-    elif kind is WeightKind.INV_SQRT_PI4:
-        out = 1.0 / np.sqrt(np.abs(theta - PI_4))
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown weight kind {kind!r}")
-    return out[()] if out.ndim == 0 else out
 
 
 def weight_q_cell_integral(kind: WeightKind, a, b):

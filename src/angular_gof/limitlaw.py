@@ -79,6 +79,7 @@ __all__ = [
     "simulate_L",
     "quantile",
     "p_value",
+    "check_draw_inputs",
     "check_table_inputs",
     "critical_value_table",
     "block_rng",
@@ -510,14 +511,6 @@ class LimitLawSimulator:
             geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float
         )
 
-    def draw_X(self, rng: np.random.Generator) -> np.ndarray:
-        """One trajectory of X on the theta grid."""
-        return self._F @ rng.standard_normal(self.grid.N)
-
-    def draw(self, rng: np.random.Generator) -> float:
-        """One draw of L (Riemann sum with exact weight-cell integrals)."""
-        return float(np.abs(self.draw_X(rng)) @ self._q_cells)
-
 
 @dataclass
 class LimitLawDraws:
@@ -694,22 +687,30 @@ class CriticalValueTable:
         )
 
 
-def check_table_inputs(family: str, p: float, r_grid, alphas, B: int) -> None:
-    """Raise for inputs ``critical_value_table`` cannot tabulate.
+def check_draw_inputs(p: float, alphas, B: int) -> None:
+    """Raise for inputs no B draws of the null law can serve.
 
-    ValueError for an unknown family, an empty r grid or an r outside the
-    family's range, a level outside (0, 1) or B < 1, and
-    ``UnsupportedFeatureError`` for p = inf.  Nothing is built.
+    ``UnsupportedFeatureError`` for p = inf, ValueError for B < 1 or a level
+    outside (0, 1).  Nothing is built.
     """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    if len(r_grid) == 0:
-        raise ValueError("the r grid is empty")
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {a:g}")
+
+
+def check_table_inputs(family: str, p: float, r_grid, alphas, B: int) -> None:
+    """Raise for inputs ``critical_value_table`` cannot tabulate.
+
+    The checks of ``check_draw_inputs``, then ValueError for an empty r grid,
+    an unknown family or an r outside the family's range.  Nothing is built.
+    """
+    check_draw_inputs(p, alphas, B)
+    if len(r_grid) == 0:
+        raise ValueError("the r grid is empty")
     for r in r_grid:
         make_model(family, float(r))
 

@@ -1,10 +1,11 @@
 """Parametric extremal-dependence families and their angular measures.
 
-Two built-in families (logistic and Hüsler–Reiss) implement a common
-interface: the stable tail dependence function (stdf) ell_r, the exponent
-measure density lambda_r, rectangle masses, stdf partial derivatives, the
-extremal-coefficient parameter estimator with its expansion constant g, and
-the angular density / CDF on the positive arc of the L_p unit sphere.
+Two built-in families (logistic and Hüsler–Reiss, by tag in ``FAMILIES``)
+implement a common interface: the stable tail dependence function (stdf)
+ell_r, the exponent measure density lambda_r, rectangle masses, stdf partial
+derivatives, the inversion of ell(1,1) with its clamped values and expansion
+constant g, the power-study r grid and base copula, and the angular density /
+CDF on the positive arc of the L_p unit sphere.
 
 The angular CDF has no closed form; it is integrated once per (family, r, p)
 by composite Gauss–Legendre panels under an endpoint substitution that tames
@@ -30,6 +31,8 @@ __all__ = [
     "HuslerReissModel",
     "ParamEstimate",
     "QuadratureError",
+    "FAMILIES",
+    "family_class",
     "make_model",
     "estimate_param",
     "expansion_constants",
@@ -63,6 +66,10 @@ class LogisticModel:
 
     family = "logistic"
     param_bounds = (0.0, 1.0)
+    clamped_r = (1e-3, 1.0 - 1e-9)  # r for ell_hat(1,1) <= 1 and >= 2
+    # Power-study r grid; capped where near-atomic measures may fail quadrature.
+    grid_pitch, grid_cap = 0.05, 0.95
+    scenario_base = ("gumbel", (2.0,))  # power-study base copula (datagen kind)
 
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
@@ -136,6 +143,13 @@ class LogisticModel:
     def extremal_coefficient(self) -> float:
         return 2.0 ** self.r
 
+    @staticmethod
+    def invert_ell11(ell: float) -> float:  # r with 2^r = ell
+        return math.log2(ell)
+
+    def expansion_g(self) -> float:  # dr / d ell(1, 1)
+        return 1.0 / (2.0 ** self.r * math.log(2.0))
+
     def rect_mass(self, a, b):
         return _rect_mass(self, a, b)
 
@@ -168,6 +182,9 @@ class HuslerReissModel:
 
     family = "hr"
     param_bounds = (0.0, math.inf)
+    clamped_r = (1e-3, 8.0)
+    grid_pitch, grid_cap = 0.1, 8.0
+    scenario_base = ("hr", (1.0,))
 
     def __post_init__(self):
         if not self.r > 0.0:
@@ -231,6 +248,13 @@ class HuslerReissModel:
     def extremal_coefficient(self) -> float:
         return float(2.0 * ndtr(self.r))
 
+    @staticmethod
+    def invert_ell11(ell: float) -> float:  # r with 2 Phi(r) = ell
+        return float(ndtri(ell / 2.0))
+
+    def expansion_g(self) -> float:  # dr / d ell(1, 1)
+        return 1.0 / (2.0 * _npdf(self.r))
+
     def rect_mass(self, a, b):
         return _rect_mass(self, a, b)
 
@@ -260,13 +284,20 @@ def _rect_mass(model, a, b):
     return out[()] if out.ndim == 0 else out
 
 
+FAMILIES = {cls.family: cls for cls in (LogisticModel, HuslerReissModel)}
+
+
+def family_class(family: str) -> type:
+    """The model class of a family tag ('logistic' or 'hr')."""
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+
+
 def make_model(family: str, r: float) -> Model:
     """Instantiate a model by family tag ('logistic' or 'hr')."""
-    if family == "logistic":
-        return LogisticModel(r)
-    if family in ("hr", "husler-reiss", "husler_reiss"):
-        return HuslerReissModel(r)
-    raise ValueError(f"unknown family {family!r}")
+    return family_class(family)(r)
 
 
 @dataclass(frozen=True)
@@ -280,32 +311,21 @@ class ParamEstimate:
 def estimate_param(family: str, ell_hat_11: float) -> ParamEstimate:
     """Invert the extremal coefficient chi = ell(1,1) for the parameter.
 
-    Estimates outside the valid range (1, 2) are clamped to near-boundary
-    values so that downstream code never receives an invalid parameter; the
-    flag records the clamping.
+    Estimates outside the valid range (1, 2) are clamped to the family's
+    near-boundary values ``clamped_r`` so that downstream code never
+    receives an invalid parameter; the flag records the clamping.
     """
-    if family == "logistic":
-        if ell_hat_11 <= 1.0:
-            return ParamEstimate(1e-3, True)
-        if ell_hat_11 >= 2.0:
-            return ParamEstimate(1.0 - 1e-9, True)
-        return ParamEstimate(math.log2(ell_hat_11), False)
-    if family in ("hr", "husler-reiss", "husler_reiss"):
-        if ell_hat_11 <= 1.0:
-            return ParamEstimate(1e-3, True)
-        if ell_hat_11 >= 2.0:
-            return ParamEstimate(8.0, True)
-        return ParamEstimate(float(ndtri(ell_hat_11 / 2.0)), False)
-    raise ValueError(f"unknown family {family!r}")
+    cls = family_class(family)
+    if ell_hat_11 <= 1.0:
+        return ParamEstimate(cls.clamped_r[0], True)
+    if ell_hat_11 >= 2.0:
+        return ParamEstimate(cls.clamped_r[1], True)
+    return ParamEstimate(cls.invert_ell11(ell_hat_11), False)
 
 
 def expansion_constants(model: Model):
     """Constant g and Dirac location for the estimator expansion term I."""
-    if model.family == "logistic":
-        g = 1.0 / (2.0 ** model.r * math.log(2.0))
-    else:
-        g = 1.0 / (2.0 * _npdf(model.r))
-    return g, (1.0, 1.0)
+    return model.expansion_g(), (1.0, 1.0)
 
 
 def angular_density(model: Model, p: float, theta):
@@ -540,20 +560,12 @@ def get_law(model: Model, p: float, tol: float = 1e-8) -> AngularLaw:
     return _cached_law(model.family, model.r, p, tol)
 
 
-def _fd_steps(model: Model):
-    """Clamped central finite-difference abscissae for the r-gradient."""
-    r = model.r
-    eps = 1e-4 * max(1.0, abs(r))
-    lo, hi = model.param_bounds
-    r_lo = max(r - eps, lo + 1e-12 if math.isfinite(lo) else r - eps)
-    r_hi = min(r + eps, hi - 1e-12 if math.isfinite(hi) else r + eps)
-    clamped = (r_lo != r - eps) or (r_hi != r + eps)
-    return r_lo, r_hi, clamped
-
-
 def grad_normalized_cdf(model: Model, p: float, theta, tol: float = 1e-8):
-    """d/dr of Q_{p,r}(theta) by central finite differences (clamped)."""
-    r_lo, r_hi, _ = _fd_steps(model)
+    """d/dr of Q_{p,r}(theta) by central finite differences, with both steps
+    kept inside the family's open parameter range ``param_bounds``."""
+    r, eps = model.r, 1e-4 * max(1.0, abs(model.r))
+    lo, hi = model.param_bounds
+    r_lo, r_hi = max(r - eps, lo + 1e-12), min(r + eps, hi - 1e-12)
     law_lo = _cached_law(model.family, r_lo, p, tol)
     law_hi = _cached_law(model.family, r_hi, p, tol)
     return (law_hi.normalized_cdf(theta) - law_lo.normalized_cdf(theta)) / (r_hi - r_lo)

@@ -333,3 +333,13 @@ def dense_covariance(model, p: float, grid, tol: float = 1e-8) -> np.ndarray:
     )
     dense_to_X(dense_to_X(sigma, *args).T, *args)
     return sigma[:N, :N]
+
+
+def draw_X(sim: ll.LimitLawSimulator, rng: np.random.Generator) -> np.ndarray:
+    """One trajectory of X on the theta grid, from the simulator's factor."""
+    return sim._F @ rng.standard_normal(sim.grid.N)
+
+
+def draw(sim: ll.LimitLawSimulator, rng: np.random.Generator) -> float:
+    """One draw of L (Riemann sum with exact weight-cell integrals)."""
+    return float(np.abs(draw_X(sim, rng)) @ sim._q_cells)

@@ -184,6 +184,32 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"status": "error", "message": reason}
 
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [(["test", "{csv}", "--B", "0"], "B must be >= 1, got 0"),
+         (["test", "{csv}", "--p", "inf"], "p = inf is not supported by the limit-law simulator"),
+         (["test", "{csv}", "--alpha", "0.9,1.5"], "alpha must lie in (0, 1), got 1.5"),
+         (["power", "--B", "0"], "B must be >= 1, got 0"),
+         (["power", "--alpha", "1"], "alpha must lie in (0, 1), got 1"),
+         (["power", "--p", "inf"], "p = inf is not supported by the limit-law simulator"),
+         (["pairs", "{csv}", "--B", "0"], "B must be >= 1, got 0"),
+         (["pairs", "{csv}", "--p", "inf"], "p = inf is not supported by the limit-law simulator"),
+         (["pairs", "{csv}", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5")],
+        ids=["test-B0", "test-p-inf", "test-alpha", "power-B0", "power-alpha1", "power-p-inf",
+             "pairs-B0", "pairs-p-inf", "pairs-alpha"],
+    )
+    def test_draw_inputs_checked_before_any_work(self, monkeypatch, pair_csv, capsys,
+                                                 argv, reason):
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("a driver ran")
+
+        for runner in ("run_single_test", "run_power_study", "run_pairwise_analysis"):
+            monkeypatch.setattr(cli, runner, no_run)
+        rc = cli.main([arg.format(csv=pair_csv) for arg in argv])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"status": "error", "message": reason}
+
     def test_degenerate_exit_code(self, tmp_path):
         u = np.random.default_rng(6).uniform(size=300)
         path = tmp_path / "dg.csv"

@@ -48,6 +48,15 @@ class TestSpecs:
     def test_describe(self):
         assert "gumbel" in dg.scenario_copula(1, 0.5).describe()
 
+    def test_scenario_bases(self):
+        # the power-study bases: Gumbel(2) (logistic r0 = 0.5) and HR(1)
+        assert dg.scenario_copula(2, 0.3, "logistic").components[0] == dg.gumbel(2.0)
+        assert dg.scenario_copula(1, 0.3, "hr").components[0] == dg.husler_reiss(1.0)
+
+    def test_scenario_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'gauss'"):
+            dg.scenario_copula(2, 0.4, "gauss")
+
 
 class TestCopulaCdf:
     SPECS = [
@@ -62,12 +71,12 @@ class TestCopulaCdf:
     def test_copula_axioms(self, spec):
         u = np.array([0.1, 0.35, 0.5, 0.77, 0.94])
         # uniform margins: C(u, 1) = u and C(1, v) = v
-        np.testing.assert_allclose(dg.copula_cdf(spec, u, np.full(5, 1.0 - 1e-15)), u, atol=1e-9)
-        np.testing.assert_allclose(dg.copula_cdf(spec, np.full(5, 1.0 - 1e-15), u), u, atol=1e-9)
+        np.testing.assert_allclose(do.copula_cdf(spec, u, np.full(5, 1.0 - 1e-15)), u, atol=1e-9)
+        np.testing.assert_allclose(do.copula_cdf(spec, np.full(5, 1.0 - 1e-15), u), u, atol=1e-9)
         # Frechet bounds
         for uu in u:
             for vv in u:
-                c = dg.copula_cdf(spec, uu, vv)
+                c = do.copula_cdf(spec, uu, vv)
                 assert max(uu + vv - 1.0, 0.0) - 1e-12 <= c <= min(uu, vv) + 1e-12
 
     def test_gumbel_closed_form(self):
@@ -75,7 +84,7 @@ class TestCopulaCdf:
         u, v = 0.4, 0.7
         x, y = -math.log(u), -math.log(v)
         expect = math.exp(-math.hypot(x, y))
-        assert dg.copula_cdf(dg.gumbel(2.0), u, v) == pytest.approx(expect, rel=1e-14)
+        assert do.copula_cdf(dg.gumbel(2.0), u, v) == pytest.approx(expect, rel=1e-14)
 
     def test_hr_closed_form(self):
         # [DERIVED] from the HR stdf with r = 1
@@ -84,19 +93,19 @@ class TestCopulaCdf:
         ell = x * norm.cdf(1.0 + math.log(x / y) / 2.0) + y * norm.cdf(
             1.0 + math.log(y / x) / 2.0
         )
-        assert dg.copula_cdf(dg.husler_reiss(1.0), u, v) == pytest.approx(
+        assert do.copula_cdf(dg.husler_reiss(1.0), u, v) == pytest.approx(
             math.exp(-ell), rel=1e-12
         )
 
     def test_comonotone_is_min(self):
-        assert dg.copula_cdf(dg.comonotone(), 0.3, 0.8) == 0.3
+        assert do.copula_cdf(dg.comonotone(), 0.3, 0.8) == 0.3
 
     def test_mixture_is_convex_combination(self):
         base, alt = dg.gumbel(2.0), dg.comonotone()
         spec = dg.mixture(0.25, base, alt)
         u, v = 0.5, 0.6
-        expect = 0.75 * dg.copula_cdf(base, u, v) + 0.25 * dg.copula_cdf(alt, u, v)
-        assert dg.copula_cdf(spec, u, v) == pytest.approx(expect, rel=1e-14)
+        expect = 0.75 * do.copula_cdf(base, u, v) + 0.25 * do.copula_cdf(alt, u, v)
+        assert do.copula_cdf(spec, u, v) == pytest.approx(expect, rel=1e-14)
 
 
 class TestConditionalCdf:
@@ -111,19 +120,19 @@ class TestConditionalCdf:
         for u in (0.2, 0.5, 0.8):
             for v in (0.3, 0.6, 0.9):
                 h = 1e-6
-                fd = (dg.copula_cdf(spec, u + h, v) - dg.copula_cdf(spec, u - h, v)) / (2 * h)
-                assert dg.conditional_cdf(spec, u, v) == pytest.approx(fd, rel=1e-5)
+                fd = (do.copula_cdf(spec, u + h, v) - do.copula_cdf(spec, u - h, v)) / (2 * h)
+                assert do.conditional_cdf(spec, u, v) == pytest.approx(fd, rel=1e-5)
 
     def test_is_cdf_in_v(self):
         spec = dg.gumbel(2.0)
         v = np.linspace(1e-6, 1 - 1e-6, 200)
-        vals = dg.conditional_cdf(spec, 0.4, v)
+        vals = do.conditional_cdf(spec, 0.4, v)
         assert np.all(np.diff(vals) >= -1e-12)
         assert vals[0] < 1e-3 and vals[-1] > 1 - 1e-3
 
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
-            dg.conditional_cdf(dg.comonotone(), 0.5, 0.5)
+            do.conditional_cdf(dg.comonotone(), 0.5, 0.5)
 
 
 class TestCopulaDensity:
@@ -139,10 +148,10 @@ class TestCopulaDensity:
         u, v = np.meshgrid([0.1, 0.4, 0.7, 0.95], [0.15, 0.5, 0.8, 0.97])
         u, v = u.ravel(), v.ravel()
         h = 1e-6
-        fd = (dg.conditional_cdf(spec, u, v + h) - dg.conditional_cdf(spec, u, v - h)) / (2 * h)
+        fd = (do.conditional_cdf(spec, u, v + h) - do.conditional_cdf(spec, u, v - h)) / (2 * h)
         g, dens = dg._conditional_terms(model, u, -np.log(u), v)
         np.testing.assert_allclose(dens, fd, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(g, dg.conditional_cdf(spec, u, v), rtol=1e-13)
+        np.testing.assert_allclose(g, do.conditional_cdf(spec, u, v), rtol=1e-13)
 
 
 class TestNewtonSampler:
@@ -194,7 +203,7 @@ class TestSampling:
         x = dg.sample(spec, self.N, np.random.default_rng(2))
         for u, v in ((0.25, 0.25), (0.5, 0.7), (0.8, 0.4)):
             emp = np.mean((x[:, 0] <= u) & (x[:, 1] <= v))
-            ana = dg.copula_cdf(spec, u, v)
+            ana = do.copula_cdf(spec, u, v)
             # binomial SE at N = 40000 is <= 0.0025
             assert emp == pytest.approx(ana, abs=0.01)
 

@@ -7,11 +7,51 @@ import pytest
 
 from angular_gof import datagen as dg
 from angular_gof import experiments as ex
+from angular_gof import wasserstein as ws
+from angular_gof.empirical import angular_dataset
 from angular_gof.geometry import WeightKind
 from angular_gof.limitlaw import FieldGrid
+from angular_gof.models import QuadratureError, estimate_param, get_law, make_model
 
 TINY = FieldGrid(h=0.1, M=22, N=16)
 SMALL = FieldGrid(h=0.05, M=100, N=200)
+
+
+class TestFit:
+    def test_matches_the_written_out_pipeline(self):
+        # the HR scenario-2 samples of test_wasserstein.TestEvaluationCount
+        spec = dg.scenario_copula(2, 0.4, "hr")
+        q = WeightKind.INV_SQRT_PI4
+        for seed in range(10):
+            x = dg.sample(spec, 3000, np.random.default_rng(seed))
+            ds = angular_dataset(x, 100, 2.0)
+            est = estimate_param("hr", ds.ell_hat_11)
+            t = ws.test_statistic(ds, get_law(make_model("hr", est.r), 2.0), q)
+            res = ex.fit(x, "hr", 100, 2.0, q)
+            assert res.status == "ok" and res.message == ""
+            assert res.dataset.K == ds.K
+            assert res.dataset.ell_hat_11 == ds.ell_hat_11
+            assert res.estimate == est
+            assert res.model == make_model("hr", est.r)
+            assert res.statistic.value == t.value
+
+    def test_comonotone_is_degenerate(self):
+        u = np.random.default_rng(2).uniform(size=500)
+        res = ex.fit(np.column_stack([u, u]), "logistic", 20)
+        assert res.status == "degenerate"
+        assert res.dataset.degenerate and res.message
+        assert res.estimate is None and res.statistic is None
+
+    def test_quadrature_failure_is_an_error(self, monkeypatch):
+        def failing_law(*_args, **_kwargs):
+            raise QuadratureError("no convergence", 1e-3)
+
+        monkeypatch.setattr(ex, "get_law", failing_law)
+        data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
+        res = ex.fit(data, "hr", 28)
+        assert res.status == "error"
+        assert res.message.startswith("no convergence")
+        assert res.estimate is not None and res.statistic is None
 
 
 class TestSingleTest:
@@ -137,6 +177,23 @@ class TestPairwise:
         table = np.array([[1.0, 2.0], [2.0, 1.0]])
         report = ex.run_pairwise_analysis(table, [(0, 1)], B=10, seed=0, grid=TINY)
         assert report.pairs[0].report.status == "error"
+
+    def test_each_pair_ranked_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return angular_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "angular_dataset", counting)
+        rng = np.random.default_rng(10)
+        table = np.column_stack([dg.sample(dg.husler_reiss(1.0), 600, rng),
+                                 dg.sample(dg.gumbel(2.0), 600, rng)])
+        report = ex.run_pairwise_analysis(
+            table, [(0, 1), (2, 3)], family="hr", B=40, seed=1, grid=TINY,
+        )
+        assert [res.report.status for res in report.pairs] == ["ok", "ok"]
+        assert len(calls) == 2
 
     def test_draws_shared_for_equal_estimates(self):
         # identical columns duplicated -> identical r_hat -> identical

@@ -1,5 +1,9 @@
 """Geometry primitives: norms, boundary curve, constraint function, weights.
 
+The pointwise set membership ``in_C_p_theta`` and weight ``weight_q`` below
+are references the package does not need: it works with cell sums and exact
+cell integrals.
+
 Oracle tags:
   [TRIVIAL]  asserted directly from the definition
   [DERIVED]  value frozen from an independent computation (noted inline)
@@ -16,6 +20,38 @@ from angular_gof import geometry as g
 
 PI_4 = math.pi / 4.0
 PI_2 = math.pi / 2.0
+
+
+def in_C_p_theta(p: float, theta: float, x, y):
+    """Membership of (x, y) in the angular set C_{p,theta}.
+
+    Three branches: at theta = 0 the set degenerates to the horizontal axis
+    plus the segment {inf} x [0,1]; at theta = pi/2 only the boundary curve
+    constrains; in between, y <= min(x tan(theta), y_p(x)).
+    """
+    if not 0.0 <= theta <= PI_2:
+        raise ValueError("theta must lie in [0, pi/2]")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if theta == 0.0:
+        out = (y == 0.0) | (np.isinf(x) & (y <= 1.0))
+    elif theta == PI_2:
+        out = y <= g.y_p(p, x)
+    else:
+        out = (y <= x * math.tan(theta)) & (y <= g.y_p(p, x))
+    return out[()] if out.ndim == 0 else out
+
+
+def weight_q(kind: g.WeightKind, theta):
+    """Evaluate q(theta); the singular kind diverges at theta = pi/4."""
+    theta = np.asarray(theta, dtype=float)
+    if kind is g.WeightKind.CONSTANT:
+        out = np.ones_like(theta)
+    elif kind is g.WeightKind.INV_SQRT_PI4:
+        out = 1.0 / np.sqrt(np.abs(theta - PI_4))
+    else:  # pragma: no cover - exhaustive enum
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return out[()] if out.ndim == 0 else out
 
 
 class TestLpNorm:
@@ -127,18 +163,18 @@ class TestAngularSets:
         pts = np.random.default_rng(0).uniform(0, 10, size=(500, 2))
         prev = np.zeros(len(pts), dtype=bool)
         for theta in np.linspace(0.1, PI_2, 15):
-            cur = g.in_C_p_theta(2.0, theta, pts[:, 0], pts[:, 1])
+            cur = in_C_p_theta(2.0, theta, pts[:, 0], pts[:, 1])
             assert np.all(prev <= cur)
             prev = cur
 
     def test_theta_zero_branch(self):
-        assert g.in_C_p_theta(2.0, 0.0, 3.0, 0.0)
-        assert not g.in_C_p_theta(2.0, 0.0, 3.0, 0.1)
-        assert g.in_C_p_theta(2.0, 0.0, math.inf, 0.7)
+        assert in_C_p_theta(2.0, 0.0, 3.0, 0.0)
+        assert not in_C_p_theta(2.0, 0.0, 3.0, 0.1)
+        assert in_C_p_theta(2.0, 0.0, math.inf, 0.7)
 
     def test_theta_pi2_is_full_region(self):
-        assert g.in_C_p_theta(2.0, PI_2, 0.5, 100.0)  # below inf boundary
-        assert not g.in_C_p_theta(2.0, PI_2, 2.0, 1.5)  # above y_p(2) ~ 1.155
+        assert in_C_p_theta(2.0, PI_2, 0.5, 100.0)  # below inf boundary
+        assert not in_C_p_theta(2.0, PI_2, 2.0, 1.5)  # above y_p(2) ~ 1.155
 
 
 class TestConstraintFunction:
@@ -174,12 +210,12 @@ class TestConstraintFunction:
 
 class TestWeights:
     def test_constant(self):
-        assert g.weight_q(g.WeightKind.CONSTANT, 0.3) == 1.0
+        assert weight_q(g.WeightKind.CONSTANT, 0.3) == 1.0
         assert g.weight_q_cell_integral(g.WeightKind.CONSTANT, 0.1, 0.4) == pytest.approx(0.3)
 
     def test_singular_value(self):
         # [TRIVIAL] q(pi/4 + 0.25) = 2
-        assert g.weight_q(g.WeightKind.INV_SQRT_PI4, PI_4 + 0.25) == pytest.approx(2.0)
+        assert weight_q(g.WeightKind.INV_SQRT_PI4, PI_4 + 0.25) == pytest.approx(2.0)
 
     def test_integral_total(self):
         # [DERIVED] int_0^{pi/2} |t - pi/4|^{-1/2} dt = 4 sqrt(pi/4) = 2 sqrt(pi)
@@ -189,7 +225,7 @@ class TestWeights:
     def test_integral_matches_quadrature_away_from_singularity(self):
         from scipy.integrate import quad
 
-        val, _ = quad(lambda t: g.weight_q(g.WeightKind.INV_SQRT_PI4, t), 0.9, 1.4)
+        val, _ = quad(lambda t: weight_q(g.WeightKind.INV_SQRT_PI4, t), 0.9, 1.4)
         assert g.weight_q_cell_integral(g.WeightKind.INV_SQRT_PI4, 0.9, 1.4) == pytest.approx(
             val, rel=1e-10
         )

@@ -17,7 +17,7 @@ from scipy.special import expit
 from angular_gof import datagen
 from angular_gof import wasserstein as ws
 from angular_gof.empirical import StepCDF, angular_dataset, empirical_angular_cdf
-from angular_gof.geometry import WeightKind, weight_q
+from angular_gof.geometry import WeightKind
 from angular_gof.models import LogisticModel, estimate_param, get_law, make_model
 
 import wasserstein_oracle as wo
