@@ -244,13 +244,20 @@ def _cmd_quantiles(args) -> int:
 def _cmd_power(args) -> int:
     try:
         check_draw_inputs(args.p, (args.alpha,), args.B)
+        lambdas = tuple(_parse_floats(args.lambdas))
     except (ValueError, UnsupportedFeatureError) as exc:
         return _input_error(str(exc), args.out)
+    if args.reps < 1:
+        return _input_error(f"--reps must be at least 1, got {args.reps}", args.out)
+    if not lambdas:
+        return _input_error("--lambdas is empty", args.out)
+    for lam in lambdas:
+        if not 0.0 <= lam <= 1.0:
+            return _input_error(f"--lambdas values must lie in [0, 1], got {lam:g}", args.out)
     if not 1 <= args.k < args.n:
         return _input_error(_k_range_error(args.k, args.n), args.out)
     config = ScenarioConfig(
-        family=args.family, scenario=args.scenario,
-        lambdas=tuple(_parse_floats(args.lambdas)),
+        family=args.family, scenario=args.scenario, lambdas=lambdas,
         n=args.n, k=args.k, p=args.p, q=WeightKind.from_name(args.q),
         B=args.B, alpha=args.alpha, reps=args.reps, seed=args.seed,
         grid=_grid_from_args(args),

@@ -1,24 +1,22 @@
 """Samplers for the data-generating copulas used in the experiments.
 
-Extreme-value copulas (Gumbel/logistic and Hüsler–Reiss) are written as
-C(u, v) = exp(-ell(-log u, -log v)) with ell the family stdf and sampled by
-conditional inversion: with x = -log u and y = -log v the partial derivative
-dC/du = C(u, v) ell_x(x, y) / u is a CDF in v whose density is the copula
-density c(u, v) = C(u, v) / (u v) * (ell_x ell_y + lambda(x, y)), so
-dC/du(u, v) = w is solved for v by Newton steps kept inside a shrinking
-bracket (a bisection step whenever Newton would leave it).  The comonotone
-copula and the max-linear factor copula are sampled directly;
-lambda-mixtures draw their component per observation.
+The extreme-value copulas C(u, v) = exp(-ell(-log u, -log v)) are sampled
+exactly, with no root finding: the Gumbel (logistic) copula as a
+Marshall–Olkin frailty model with a positive-stable frailty, and the
+Hüsler–Reiss copula by extremal functions (Dombry, Engelke & Oesting 2016).
+The comonotone copula and the max-linear factor copula are sampled directly;
+lambda-mixtures draw their component per observation.  A seed fixes every
+value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import HuslerReissModel, LogisticModel, family_class
+from .models import family_class
 
 __all__ = [
     "CopulaSpec",
@@ -100,83 +98,56 @@ def scenario_copula(scenario: int, lam: float, family: str = "logistic") -> Copu
     return mixture(lam, base, alt)
 
 
-def _ev_model(spec: CopulaSpec):
-    if spec.kind == "gumbel":
-        return LogisticModel(1.0 / spec.params[0])
-    if spec.kind == "hr":
-        return HuslerReissModel(spec.params[0])
-    raise ValueError(f"{spec.kind} is not an extreme-value copula spec")
+def _sample_gumbel(theta_g: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Marshall–Olkin frailty: U_j = exp(-(E_j / S)^a), a = 1/theta_g.
 
-
-# Bracket of the conditional-inversion root and the iteration cap.
-_V_LO, _V_HI = 1e-15, 1.0 - 1e-15
-_MAX_ITER = 60
-
-
-def _conditional_terms(model, u, x, v):
-    """dC/du(u, v) and the copula density c(u, v), from one stdf evaluation.
-
-    ``x`` is -log u, passed in so that it is computed once per sample.
+    E_1, E_2 are standard exponential and S is positive stable with Laplace
+    transform exp(-t^a), drawn by Kanter's representation (Kanter 1975;
+    Chambers, Mallows & Stuck 1976) from V uniform on (0, pi] and W standard
+    exponential: S^a = sin(aV)^a sin((1-a)V)^(1-a) / (sin(V) W^(1-a)).  It is
+    taken in logs, so no power under- or overflows even at theta_g = 1000.
+    At theta_g = 1 (independence) S = 1.
     """
-    ell, dx, dy, lam = model.stdf_terms(x, -np.log(v))
-    c_over_u = np.exp(-ell) / u
-    return c_over_u * dx, c_over_u / v * (dx * dy + lam)
+    a = 1.0 / theta_g
+    e = rng.standard_exponential((n, 2))
+    v = np.pi * (1.0 - rng.uniform(size=n))
+    w = rng.standard_exponential(n)
+    # An exponential draw of exactly 0 (probability about 2^-53) gives U = 1.
+    with np.errstate(divide="ignore"):
+        log_sa = np.zeros((n, 1))
+        if a < 1.0:
+            log_sa[:, 0] = (a * np.log(np.sin(a * v))
+                            + (1.0 - a) * np.log(np.sin((1.0 - a) * v))
+                            - np.log(np.sin(v)) - (1.0 - a) * np.log(w))
+        return np.exp(-np.exp(a * np.log(e) - log_sa))
 
 
-def _sample_conditional(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Conditional inversion: U, W uniform, solve dC/du(U, v) = W for v.
+def _sample_hr(r: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Extremal functions (Dombry, Engelke & Oesting 2016, Algorithm 1), d = 2.
 
-    Safeguarded Newton from v = W (the root under independence): each
-    evaluation moves one end of the bracket [1e-15, 1 - 1e-15] to the
-    iterate, and a Newton step that leaves the bracket is replaced by
-    bisection.  A point stops at a zero residual, a step of at most 2 ulp, a
-    bracket of at most 2 ulp, or a step landing exactly on a bracket end,
-    which is taken: near the root the rounding noise of dC/du can make Newton
-    jump between two evaluated ends a few ulp apart.  60 evaluations is the
-    cap.
+    The stdf has variogram 4r^2, so under the j-th tilted law the other
+    log-coordinate is N(-2r^2, 4r^2).  The unit Fréchet values Z_j are kept
+    as T_j = 1/Z_j.  Site 1 takes one Poisson point: T_1 = E and
+    T_2 = T_1 exp(2r^2 - 2rN).  Site 2 walks the Poisson points 1/t,
+    t = E_1 + ... + E_m, while t < T_2 (the point lies above Z_2); the first
+    with T_1 exp(2rN' - 2r^2) < t (its function stays below Z_1) sets
+    T_2 = t and ends the walk.  Each round draws one exponential per walking
+    point and one normal per point still above Z_2, so the number of draws
+    depends on the data, but a seed fixes every value.  U_j = exp(-T_j).
     """
-    model = _ev_model(spec)
-    u = rng.uniform(size=n)
-    w = rng.uniform(size=n)
-    x = -np.log(u)
-    v = np.clip(w, _V_LO, _V_HI)
-    lo = np.full(n, _V_LO)
-    hi = np.full(n, _V_HI)
-    active = np.arange(n)
-    for _ in range(_MAX_ITER):
-        va = v[active]
-        g, dens = _conditional_terms(model, u[active], x[active], va)
-        g -= w[active]
-        below = g < 0.0
-        lo_a = np.where(below, va, lo[active])
-        hi_a = np.where(below, hi[active], va)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = va - g / dens
-        inside = (step >= lo_a) & (step <= hi_a)
-        new = np.where(g == 0.0, va, np.where(inside, step, 0.5 * (lo_a + hi_a)))
-        tol = 2.0 * np.spacing(va)
-        on_end = (step == lo_a) | (step == hi_a)
-        done = (g == 0.0) | on_end | (np.abs(new - va) <= tol) | (hi_a - lo_a <= tol)
-        v[active] = new
-        lo[active] = lo_a
-        hi[active] = hi_a
-        active = active[~done]
-        if active.size == 0:
-            break
-    return np.column_stack([u, v])
-
-
-def _sample_direct(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "comonotone":
-        u = rng.uniform(size=n)
-        return np.column_stack([u, u])
-    if spec.kind == "maxlinear":
-        a11, a12, a21, a22 = spec.params
-        z = -1.0 / np.log(rng.uniform(size=(n, 2)))  # Fréchet(1) factors
-        x1 = np.maximum(a11 * z[:, 0], a12 * z[:, 1])
-        x2 = np.maximum(a21 * z[:, 0], a22 * z[:, 1])
-        return np.column_stack([np.exp(-1.0 / x1), np.exp(-1.0 / x2)])
-    raise ValueError(f"no direct sampler for kind {spec.kind!r}")
+    s, m = 2.0 * r, 2.0 * r * r
+    t1 = rng.standard_exponential(n)
+    t2 = t1 * np.exp(m - s * rng.standard_normal(n))
+    idx = np.arange(n)
+    t = np.zeros(n)
+    while idx.size:
+        t += rng.standard_exponential(idx.size)
+        above = t < t2[idx]
+        idx, t = idx[above], t[above]
+        hit = t1[idx] * np.exp(s * rng.standard_normal(idx.size) - m) < t
+        t2[idx[hit]] = t[hit]
+        idx, t = idx[~hit], t[~hit]
+    return np.column_stack([np.exp(-t1), np.exp(-t2)])
 
 
 def sample(spec: CopulaSpec, n: int, seed) -> np.ndarray:
@@ -201,8 +172,19 @@ def sample(spec: CopulaSpec, n: int, seed) -> np.ndarray:
 
 
 def _dispatch_sample(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    if spec.kind in ("gumbel", "hr"):
-        return _sample_conditional(spec, n, rng)
+    if spec.kind == "gumbel":
+        return _sample_gumbel(spec.params[0], n, rng)
+    if spec.kind == "hr":
+        return _sample_hr(spec.params[0], n, rng)
+    if spec.kind == "comonotone":
+        u = rng.uniform(size=n)
+        return np.column_stack([u, u])
+    if spec.kind == "maxlinear":
+        a11, a12, a21, a22 = spec.params
+        z = -1.0 / np.log(rng.uniform(size=(n, 2)))  # Fréchet(1) factors
+        x1 = np.maximum(a11 * z[:, 0], a12 * z[:, 1])
+        x2 = np.maximum(a21 * z[:, 0], a22 * z[:, 1])
+        return np.column_stack([np.exp(-1.0 / x1), np.exp(-1.0 / x2)])
     if spec.kind == "mixture":
         return sample(spec, n, rng)
-    return _sample_direct(spec, n, rng)
+    raise ValueError(f"no sampler for kind {spec.kind!r}")

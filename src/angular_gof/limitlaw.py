@@ -690,11 +690,13 @@ class CriticalValueTable:
 def check_draw_inputs(p: float, alphas, B: int) -> None:
     """Raise for inputs no B draws of the null law can serve.
 
-    ``UnsupportedFeatureError`` for p = inf, ValueError for B < 1 or a level
-    outside (0, 1).  Nothing is built.
+    ``UnsupportedFeatureError`` for p = inf, ValueError for p < 1, B < 1 or a
+    level outside (0, 1).  Nothing is built.
     """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
+    if not p >= 1.0:
+        raise ValueError(f"p must be >= 1, got {p:g}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
     for a in alphas:

@@ -122,24 +122,6 @@ class LogisticModel:
             return float(dx), float(dy)
         return dx, dy
 
-    def stdf_terms(self, x: np.ndarray, y: np.ndarray):
-        """(ell, ell_x, ell_y, lambda) at arrays x, y > 0, in one pass.
-
-        With a = x/m, b = y/m (m = max(x, y)) and A = a^s + b^s, s = 1/r:
-        ell = m A^r, ell_x = (a^s/A)^(1-r), and lambda = (s-1) ell_x ell_y / ell.
-        """
-        s = 1.0 / self.r
-        m = np.maximum(x, y)
-        with np.errstate(under="ignore"):
-            a_s = np.power(x / m, s)
-            b_s = np.power(y / m, s)
-            big = a_s + b_s
-            ell = m * np.power(big, self.r)
-            dx = np.power(a_s / big, 1.0 - self.r)
-            dy = np.power(b_s / big, 1.0 - self.r)
-            lam = (s - 1.0) * dx * dy / ell
-        return ell, dx, dy, lam
-
     def extremal_coefficient(self) -> float:
         return 2.0 ** self.r
 
@@ -233,17 +215,6 @@ class HuslerReissModel:
         if np.ndim(dx) == 0:
             return float(dx), float(dy)
         return dx, dy
-
-    def stdf_terms(self, x: np.ndarray, y: np.ndarray):
-        """(ell, ell_x, ell_y, lambda) at arrays x, y > 0, in one pass.
-
-        With a = r + log(x/y)/(2r) and b = 2r - a: ell_x = Phi(a),
-        ell_y = Phi(b), ell = x ell_x + y ell_y and lambda = phi(a)/(2 r y).
-        """
-        a = self._z(x, y)
-        dx = ndtr(a)
-        dy = ndtr(2.0 * self.r - a)
-        return x * dx + y * dy, dx, dy, _npdf(a) / (2.0 * self.r * y)
 
     def extremal_coefficient(self) -> float:
         return float(2.0 * ndtr(self.r))

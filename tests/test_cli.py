@@ -168,8 +168,9 @@ class TestCommands:
         [(["--r-grid", "1.5"], "logistic parameter must lie in (0, 1], got 1.5"),
          (["--B", "0"], "B must be >= 1, got 0"),
          (["--alpha", "1"], "alpha must lie in (0, 1), got 1"),
-         (["--p", "inf"], "p = inf is not supported by the limit-law simulator")],
-        ids=["r-outside-family", "B0", "alpha1", "p-inf"],
+         (["--p", "inf"], "p = inf is not supported by the limit-law simulator"),
+         (["--p", "0.5"], "p must be >= 1, got 0.5")],
+        ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half"],
     )
     def test_quantiles_inputs_checked_before_any_build(self, monkeypatch, capsys, args, reason):
         from angular_gof import limitlaw
@@ -194,9 +195,18 @@ class TestCommands:
          (["power", "--p", "inf"], "p = inf is not supported by the limit-law simulator"),
          (["pairs", "{csv}", "--B", "0"], "B must be >= 1, got 0"),
          (["pairs", "{csv}", "--p", "inf"], "p = inf is not supported by the limit-law simulator"),
-         (["pairs", "{csv}", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5")],
+         (["pairs", "{csv}", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+         (["test", "{csv}", "--p", "0.5"], "p must be >= 1, got 0.5"),
+         (["power", "--p", "0.5"], "p must be >= 1, got 0.5"),
+         (["pairs", "{csv}", "--p", "0.5"], "p must be >= 1, got 0.5"),
+         (["power", "--reps", "0"], "--reps must be at least 1, got 0"),
+         (["power", "--lambdas", "0,1.5"], "--lambdas values must lie in [0, 1], got 1.5"),
+         (["power", "--lambdas", "-0.1"], "--lambdas values must lie in [0, 1], got -0.1"),
+         (["power", "--lambdas", ","], "--lambdas is empty")],
         ids=["test-B0", "test-p-inf", "test-alpha", "power-B0", "power-alpha1", "power-p-inf",
-             "pairs-B0", "pairs-p-inf", "pairs-alpha"],
+             "pairs-B0", "pairs-p-inf", "pairs-alpha", "test-p-half", "power-p-half",
+             "pairs-p-half", "power-reps0", "power-lambda-above", "power-lambda-below",
+             "power-lambdas-empty"],
     )
     def test_draw_inputs_checked_before_any_work(self, monkeypatch, pair_csv, capsys,
                                                  argv, reason):

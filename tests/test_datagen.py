@@ -2,12 +2,13 @@
 
 Oracles: finite differences of the copula CDF for the conditional CDF and
 of the conditional CDF for the copula density; the fixed-step bisection
-sampler (``datagen_oracle``) for the Newton sampler; Monte-Carlo agreement of
-the empirical copula with the analytic one; exact uniform margins by
-construction checks (Kolmogorov-Smirnov).
+sampler for the Newton sampler (both in ``datagen_oracle``); Monte-Carlo
+agreement of the empirical copula of the exact samplers with the analytic
+one; exact uniform margins by construction checks (Kolmogorov-Smirnov).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,12 +145,12 @@ class TestCopulaDensity:
     )
     def test_density_matches_finite_difference(self, spec):
         # [DERIVED] c(u, v) = d/dv dC/du (u, v) via central FD of conditional_cdf
-        model = dg._ev_model(spec)
+        model = do.ev_model(spec)
         u, v = np.meshgrid([0.1, 0.4, 0.7, 0.95], [0.15, 0.5, 0.8, 0.97])
         u, v = u.ravel(), v.ravel()
         h = 1e-6
         fd = (do.conditional_cdf(spec, u, v + h) - do.conditional_cdf(spec, u, v - h)) / (2 * h)
-        g, dens = dg._conditional_terms(model, u, -np.log(u), v)
+        g, dens = do.conditional_terms(model, u, -np.log(u), v)
         np.testing.assert_allclose(dens, fd, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(g, do.conditional_cdf(spec, u, v), rtol=1e-13)
 
@@ -163,7 +164,7 @@ class TestNewtonSampler:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
     def test_matches_bisection_oracle(self, spec):
         for seed in range(3):
-            got = dg.sample(spec, 3000, np.random.default_rng(seed))
+            got = do.sample_conditional(spec, 3000, np.random.default_rng(seed))
             ref = do.sample_conditional_bisection(spec, 3000, np.random.default_rng(seed))
             np.testing.assert_array_equal(got[:, 0], ref[:, 0])
             assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-12
@@ -171,9 +172,69 @@ class TestNewtonSampler:
     @pytest.mark.parametrize("spec", [dg.husler_reiss(1.0), dg.gumbel(2.0)], ids=lambda s: s.kind)
     def test_consumes_two_uniforms_per_pair(self, spec):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        dg.sample(spec, 500, rng)
+        do.sample_conditional(spec, 500, rng)
         do.sample_conditional_bisection(spec, 500, ref_rng)
         np.testing.assert_array_equal(rng.uniform(size=4), ref_rng.uniform(size=4))
+
+
+class TestExactSamplers:
+    EV_SPECS = (
+        [dg.husler_reiss(r) for r in (0.1, 1.0, 3.0)]
+        + [dg.gumbel(t) for t in (1.0, 1.2, 2.0, 5.0)]
+    )
+    ENDS = [dg.husler_reiss(0.001), dg.husler_reiss(8.0), dg.gumbel(1.0), dg.gumbel(1000.0)]
+
+    @pytest.mark.parametrize("spec", EV_SPECS, ids=lambda s: s.describe())
+    def test_copula_matches_stdf(self, spec):
+        # [DERIVED] C(u, v) = exp(-ell(-log u, -log v)) on a 5 x 5 grid, each
+        # empirical value within 4 binomial standard errors at 10^6 draws
+        n = 1_000_000
+        x = dg.sample(spec, n, np.random.default_rng(17))
+        grid = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        # emp[i, j]: the share of draws with U <= grid[i] and V <= grid[j]
+        iu = np.searchsorted(grid, x[:, 0])
+        iv = np.searchsorted(grid, x[:, 1])
+        cells = np.zeros((6, 6))
+        np.add.at(cells, (iu, iv), 1.0)
+        emp = np.cumsum(np.cumsum(cells, axis=0), axis=1)[:5, :5] / n
+        u, v = np.meshgrid(grid, grid, indexing="ij")
+        c = do.copula_cdf(spec, u, v)
+        se = np.sqrt(c * (1.0 - c) / n)
+        assert np.all(np.abs(emp - c) <= 4.0 * se)
+
+    @pytest.mark.parametrize("spec", ENDS, ids=lambda s: s.describe())
+    def test_parameter_ends(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = dg.sample(spec, 100_000, np.random.default_rng(8))
+        assert x.shape == (100_000, 2)
+        assert np.all(np.isfinite(x))
+        assert np.all((x >= 0.0) & (x <= 1.0))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [dg.husler_reiss(0.01), dg.husler_reiss(1.0), dg.gumbel(2.0),
+         dg.scenario_copula(2, 0.4, "hr")],
+        ids=["hr-0.01", "hr-1", "gumbel-2", "hr-mixture"],
+    )
+    def test_reproducible_per_seed(self, spec):
+        a = dg.sample(spec, 2000, np.random.default_rng(21))
+        b = dg.sample(spec, 2000, np.random.default_rng(21))
+        c = dg.sample(spec, 2000, np.random.default_rng(22))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_mixture_component_order(self):
+        # the component labels first, then every base draw, then every
+        # alternative draw, all from the one stream
+        base, alt = dg.husler_reiss(1.0), dg.maxlinear(0.7, 0.3, 0.1, 0.9)
+        got = dg.sample(dg.mixture(0.3, base, alt), 1000, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        take_alt = rng.uniform(size=1000) < 0.3
+        expect = np.empty((1000, 2))
+        expect[~take_alt] = dg.sample(base, int(np.count_nonzero(~take_alt)), rng)
+        expect[take_alt] = dg.sample(alt, int(np.count_nonzero(take_alt)), rng)
+        np.testing.assert_array_equal(got, expect)
 
 
 class TestSampling:
