@@ -6,6 +6,11 @@ Hüsler–Reiss angular measure, and Monte-Carlo critical values from the
 simulated asymptotic null law.
 """
 
+# numpy >= 2 loads these on first use; every command draws, and np.unique
+# checks for masked arrays, so they load here rather than in the first fit.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .geometry import WeightKind
 from .models import (
     AngularLaw,

@@ -315,10 +315,11 @@ def run_pairwise_analysis(
         n = data.shape[0]
         k_pair = k if k is not None else default_k(n)
         if n < 3 or k_pair >= n:
+            message = (f"fewer than 3 complete cases: n={n}, k={k_pair}" if n < 3 else
+                       f"k must be below the number of complete cases: k={k_pair} >= n={n}")
             report = TestReport(
                 status="error", family=family, p=p, q=q.value, n=n, k=k_pair,
-                B=B, seed=seed, grid=(grid.h, grid.M, grid.N),
-                message="not enough complete cases",
+                B=B, seed=seed, grid=(grid.h, grid.M, grid.N), message=message,
             )
         else:
             report = run_single_test(

@@ -127,14 +127,18 @@ def cell_masses(model: Model, grid: FieldGrid) -> np.ndarray:
     clamped at zero against roundoff.  The corner masses are evaluated in
     blocks of ``_MASS_BLOCK`` rows, each sharing its last corner row with the
     next block, so no M×M temporary is ever held; every operation is
-    elementwise, so the result does not depend on the block size.
+    elementwise, so the result does not depend on the block size.  Both
+    families' ell is symmetric bit for bit, so a block is evaluated only from
+    its diagonal on and its left part is the transpose of the rows above.
     """
     x = np.arange(grid.M) * grid.h
     masses = np.empty((grid.M - 1, grid.M - 1))
     for i0 in range(0, grid.M - 1, _MASS_BLOCK):
         i1 = min(i0 + _MASS_BLOCK, grid.M - 1)
-        R = model.rect_mass(x[i0:i1 + 1, None], x[None, :])
-        np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0, out=masses[i0:i1])
+        R = model.rect_mass(x[i0:i1 + 1, None], x[None, i0:])
+        np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0,
+                   out=masses[i0:i1, i0:])
+        masses[i0:i1, :i0] = masses[:i0, i0:i1].T
     return masses
 
 

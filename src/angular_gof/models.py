@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .geometry import PI_2, PI_4, lp_norm
 
@@ -48,6 +48,74 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def _npdf(x):
     """Standard normal density (the expression scipy.stats.norm.pdf evaluates)."""
     return np.exp(-x**2 / 2.0) / _SQRT_2PI
+
+
+# W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969; his
+# CALERF), leading coefficient first: erf(z) = z P(z^2)/Q(z^2) for z < 0.5,
+# erfc(z) = exp(-z^2) P(z)/Q(z) on [0.5, 4], and beyond it
+# erfc(z) = exp(-z^2)/z (1/sqrt(pi) - w P(w)/Q(w)) with w = 1/z^2.
+_ERF_P = (1.85777706184603153e-1, 3.16112374387056560e0, 1.13864154151050156e2,
+          3.77485237685302021e2, 3.20937758913846947e3)
+_ERF_Q = (1.0, 2.36012909523441209e1, 2.44024637934444173e2,
+          1.28261652607737228e3, 2.84423683343917062e3)
+_ERFC_P = (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e0,
+           6.61191906371416295e1, 2.98635138197400131e2, 8.81952221241769090e2,
+           1.71204761263407058e3, 2.05107837782607147e3, 1.23033935479799725e3)
+_ERFC_Q = (1.0, 1.57449261107098347e1, 1.17693950891312499e2,
+           5.37181101862009858e2, 1.62138957456669019e3, 3.29079923573345963e3,
+           4.36261909014324716e3, 3.43936767414372164e3, 1.23033935480374942e3)
+_ASYM_P = (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+           1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4)
+_ASYM_Q = (1.0, 2.56852019228982242e0, 1.87295284992346725e0,
+           5.27905102951428412e-1, 6.05183413124413191e-2, 2.33520497626869185e-3)
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT1_PI = 5.6418958354775628695e-1
+_Z_ZERO = 27.5  # exp(-z^2) underflows to 0 from about z = 27.3 on
+_STD_NORMAL = NormalDist()  # inv_cdf is Wichura's AS 241
+
+
+def _horner(coef, t):
+    """Polynomial with coefficients ``coef`` (leading first) at t, in place."""
+    out = coef[0] * t
+    out += coef[1]
+    for c in coef[2:]:
+        out *= t
+        out += c
+    return out
+
+
+def _ndtr(x):
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, vectorized.
+
+    With z = |x| / sqrt(2), Phi is 1/2 + erf(x / sqrt(2)) / 2 for z < 0.5,
+    and erfc(z)/2 (x < 0) or 1 - erfc(z)/2 (x > 0) elsewhere.  exp(-z^2) is
+    exp(-(z - t)(z + t)) exp(-t^2) with t = z truncated to 1/16, as in Cody's
+    code: t^2 is exact, so the lower tail keeps its relative accuracy down to
+    the subnormal range.  Each branch runs only on its own elements; +-inf
+    give 0 and 1 (z is capped where erfc(z)/2 underflows), nan stays nan.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, np.nan)
+    with np.errstate(under="ignore"):
+        z = np.abs(x) * _SQRT1_2
+        near = z < 0.5
+        u = x[near] * _SQRT1_2
+        w = u * u
+        out[near] = 0.5 + 0.5 * (u * _horner(_ERF_P, w) / _horner(_ERF_Q, w))
+        tail = z >= 0.5
+        v = np.minimum(z[tail], _Z_ZERO)
+        half_erfc = np.empty(v.shape)
+        mid = v <= 4.0
+        vm = v[mid]
+        half_erfc[mid] = 0.5 * _horner(_ERFC_P, vm) / _horner(_ERFC_Q, vm)
+        vf = v[~mid]
+        w = 1.0 / (vf * vf)
+        half_erfc[~mid] = 0.5 * (_SQRT1_PI - w * _horner(_ASYM_P, w) / _horner(_ASYM_Q, w)) / vf
+        t = np.trunc(v * 16.0) / 16.0
+        half_erfc *= np.exp(-(v - t) * (v + t))
+        half_erfc *= np.exp(-t * t)
+        out[tail] = np.where(x[tail] < 0.0, half_erfc, 1.0 - half_erfc)
+    return out[()]
 
 
 class QuadratureError(RuntimeError):
@@ -184,7 +252,7 @@ class HuslerReissModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             a = self._z(x, y)
             b = self._z(y, x)
-            term = x * ndtr(a) + y * ndtr(b)
+            term = x * _ndtr(a) + y * _ndtr(b)
         # Continuity at the axes: ell(x, 0) = x, ell(0, y) = y.
         term = np.where(x == 0.0, y, term)
         term = np.where(y == 0.0, np.where(x == 0.0, 0.0, x), term)
@@ -208,8 +276,8 @@ class HuslerReissModel:
         if np.any((x == 0) & (y == 0)):
             raise ValueError("stdf_partials undefined at the origin")
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = ndtr(self._z(x, y))
-            dy = ndtr(self._z(y, x))
+            dx = _ndtr(self._z(x, y))
+            dy = _ndtr(self._z(y, x))
         dx = np.where(x == 0.0, 0.0, np.where(y == 0.0, 1.0, dx))
         dy = np.where(y == 0.0, 0.0, np.where(x == 0.0, 1.0, dy))
         if np.ndim(dx) == 0:
@@ -217,11 +285,11 @@ class HuslerReissModel:
         return dx, dy
 
     def extremal_coefficient(self) -> float:
-        return float(2.0 * ndtr(self.r))
+        return float(2.0 * _ndtr(self.r))
 
     @staticmethod
     def invert_ell11(ell: float) -> float:  # r with 2 Phi(r) = ell
-        return float(ndtri(ell / 2.0))
+        return _STD_NORMAL.inv_cdf(ell / 2.0)
 
     def expansion_g(self) -> float:  # dr / d ell(1, 1)
         return 1.0 / (2.0 * _npdf(self.r))

@@ -15,10 +15,9 @@ inversion samplers to each other and the exact samplers to ``copula_cdf``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from angular_gof import datagen as dg
-from angular_gof.models import HuslerReissModel, LogisticModel, _npdf
+from angular_gof.models import HuslerReissModel, LogisticModel, _ndtr, _npdf
 
 
 def ev_model(spec: dg.CopulaSpec):
@@ -53,8 +52,8 @@ def stdf_terms(model, x: np.ndarray, y: np.ndarray):
             lam = (s - 1.0) * dx * dy / ell
         return ell, dx, dy, lam
     a = model._z(x, y)
-    dx = ndtr(a)
-    dy = ndtr(2.0 * r - a)
+    dx = _ndtr(a)
+    dy = _ndtr(2.0 * r - a)
     return x * dx + y * dy, dx, dy, _npdf(a) / (2.0 * r * y)
 
 

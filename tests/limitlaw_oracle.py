@@ -10,7 +10,8 @@ G G' is the covariance the simulator assembles in closed form.
 ``dense_covariance`` is the closed-form assembly over dense
 (N + 2) x (M - 1) strip tables that the simulator's staircase assembly
 replaces; it agrees with ``field_covariance`` and serves as the oracle on
-grids too large for the field.
+grids too large for the field.  ``full_cell_masses`` evaluates every cell
+mass, where ``limitlaw.cell_masses`` mirrors the table across its diagonal.
 """
 
 from __future__ import annotations
@@ -29,6 +30,18 @@ from angular_gof.models import (
     get_law,
     grad_normalized_cdf,
 )
+
+
+def full_cell_masses(model, grid) -> np.ndarray:
+    """Lambda(C_ij) for every cell, in row blocks of ``limitlaw._MASS_BLOCK``
+    with the same four-corner order as ``limitlaw.cell_masses``."""
+    x = np.arange(grid.M) * grid.h
+    masses = np.empty((grid.M - 1, grid.M - 1))
+    for i0 in range(0, grid.M - 1, ll._MASS_BLOCK):
+        i1 = min(i0 + ll._MASS_BLOCK, grid.M - 1)
+        R = model.rect_mass(x[i0:i1 + 1, None], x[None, :])
+        np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0, out=masses[i0:i1])
+    return masses
 
 
 @dataclass

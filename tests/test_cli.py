@@ -137,6 +137,22 @@ class TestCommands:
         assert payload["status"] == "error"
         assert payload["message"].endswith(reason)
 
+    @pytest.mark.parametrize(
+        "text,argv,reason",
+        [("a,b\n1,2\n3,\n,4\n5,6\n", [], "fewer than 3 complete cases: n=2, k=1"),
+         ("a,b\n" + "".join(f"{i},{i % 3}\n" for i in range(10)), ["--k", "20"],
+          "k must be below the number of complete cases: k=20 >= n=10")],
+        ids=["n-below-3", "k-ge-n"],
+    )
+    def test_pairs_names_the_failed_rule(self, tmp_path, capsys, text, argv, reason):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        rc = cli.main(["pairs", str(path), "--B", "20"] + argv)
+        assert rc == 0
+        (entry,) = json.loads(capsys.readouterr().out)["pairs"]
+        assert entry["status"] == "error"
+        assert entry["message"] == reason
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_test_needs_two_columns(self, tmp_path, capsys, width):
         path = tmp_path / "wide.csv"

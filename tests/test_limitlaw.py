@@ -16,6 +16,8 @@ Oracles:
   - the staircase assembly (strip tables, set masses, covariance) against
     the dense assembly it replaced (``limitlaw_oracle.dense_covariance``),
     on the desk and paper grids
+  - the cell masses mirrored across the diagonal against every cell
+    evaluated (``limitlaw_oracle.full_cell_masses``), bit for bit
 """
 
 import math
@@ -71,6 +73,18 @@ class TestMasses:
         R = model.rect_mass(x[:, None], x[None, :])
         one_shot = np.maximum(R[1:, 1:] - R[:-1, 1:] - R[1:, :-1] + R[:-1, :-1], 0.0)
         np.testing.assert_array_equal(ll.cell_masses(model, grid), one_shot)
+
+    @pytest.mark.parametrize(
+        "model",
+        [LogisticModel(0.05), LogisticModel(0.5), LogisticModel(0.95),
+         HuslerReissModel(0.1), HuslerReissModel(1.0), HuslerReissModel(7.9)],
+    )
+    @pytest.mark.parametrize("grid", [ll.DESK_GRID, ll.PAPER_GRID], ids=["desk", "paper"])
+    def test_mirrored_masses_equal_full_evaluation(self, model, grid):
+        # ell is symmetric bit for bit in both families, so the upper
+        # triangle's transpose is the lower triangle's exact evaluation
+        np.testing.assert_array_equal(ll.cell_masses(model, grid),
+                                      lo.full_cell_masses(model, grid))
 
 
 class TestFieldEvaluation:

@@ -178,39 +178,90 @@ class TestDensities:
         np.testing.assert_allclose(lam, model.exponent_density(x, y), rtol=1e-11, atol=1e-300)
 
 
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(angular_gof.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs every CLI subcommand with scipy made unimportable; prints the exit codes.
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+from angular_gof import cli
+csv_path, out = sys.argv[1], sys.argv[2]
+runs = [
+    ["test", csv_path, "--family", "hr", "--B", "20"],
+    ["pairs", csv_path, "--family", "hr", "--B", "20"],
+    ["power", "--family", "hr", "--n", "400", "--k", "20", "--lambdas", "0",
+     "--reps", "2", "--B", "20"],
+    ["quantiles", "--family", "hr", "--r-grid", "1", "--B", "20"],
+]
+print([cli.main(argv + ["--out", out]) for argv in runs])
+"""
+
+
 class TestSpecialFunctions:
     def test_bit_identical_to_scipy_stats_norm(self):
         x = np.linspace(-40.0, 40.0, 100_001)
-        p = np.linspace(0.0, 1.0, 100_001)
-        np.testing.assert_array_equal(ndtr(x), norm.cdf(x))
-        np.testing.assert_array_equal(ndtri(p), norm.ppf(p))
         np.testing.assert_array_equal(md._npdf(x), norm.pdf(x))
         assert md._npdf(1.0) == norm.pdf(1.0)
 
-    def test_import_does_not_load_scipy_stats(self):
-        src = os.path.dirname(os.path.dirname(angular_gof.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, angular_gof; print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    def test_ndtr_matches_scipy(self):
+        import mpmath
 
-    def test_import_does_not_load_scipy_interpolate(self):
-        src = os.path.dirname(os.path.dirname(angular_gof.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        heavy = ("scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+        # |error| <= 2e-15 (1 + x^2) Phi(x): x^2 is the condition number of
+        # Phi in the lower tail (the rounding of x / sqrt(2) enters exp(-x^2/2)).
+        # Below x = -37.7 scipy's ndtr returns 0, so mpmath is the reference
+        # there; one subnormal quantum is the resolution of those values.
+        x = np.concatenate([np.linspace(-38.5, 38.5, 1_000_000), [0.0, -0.0]])
+        ref = ndtr(x)
+        flushed = ref == 0.0
+        assert 0 < flushed.sum() < 20_000
+        with mpmath.workdps(30):
+            ref[flushed] = [float(mpmath.ncdf(v)) for v in x[flushed]]
+        bound = 2e-15 * (1.0 + x * x) * ref + np.nextafter(0.0, 1.0)
+        assert np.all(np.abs(md._ndtr(x) - ref) <= bound)
+        np.testing.assert_array_equal(md._ndtr(np.array([-np.inf, np.inf, np.nan])),
+                                      [0.0, 1.0, np.nan])
+        assert md._ndtr(0.0) == 0.5 and np.ndim(md._ndtr(0.0)) == 0
+
+    def test_ndtr_raises_no_warning(self):
+        x = np.array([-np.inf, -1e308, -40.0, np.nan, -0.0, 5e-324, 1e-300, 0.3, 5.0, 1e308, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="warn"):
+                got = md._ndtr(x)
+        np.testing.assert_allclose(got, [0.0, 0.0, 0.0, np.nan, 0.5, 0.5, 0.5, ndtr(0.3),
+                                         ndtr(5.0), 1.0, 1.0], rtol=1e-15, atol=0.0)
+
+    def test_invert_ell11_matches_ndtri(self):
+        ell = np.linspace(1.0, 2.0, 10_001)[1:-1]
+        got = np.array([md.HuslerReissModel.invert_ell11(v) for v in ell])
+        np.testing.assert_allclose(got, ndtri(ell / 2.0), rtol=2e-15, atol=0.0)
+
+    def test_import_loads_no_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
-             f"import sys, angular_gof; print([m for m in {heavy!r} if m in sys.modules])"],
-            capture_output=True, text=True, env=env,
+             "import sys, angular_gof; print([m for m in sys.modules if m.startswith('scipy')])"],
+            capture_output=True, text=True, env=_subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_runs_with_scipy_blocked(self, tmp_path):
+        from angular_gof import datagen as dg
+
+        data = dg.sample(dg.husler_reiss(1.0), 400, np.random.default_rng(2))
+        csv_path = tmp_path / "hr.csv"
+        np.savetxt(csv_path, data, delimiter=",")
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_RUN, str(csv_path), str(tmp_path / "out.json")],
+            capture_output=True, text=True, env=_subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
 class TestEstimator:
