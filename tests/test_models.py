@@ -241,14 +241,22 @@ class TestSpecialFunctions:
         got = np.array([md.HuslerReissModel.invert_ell11(v) for v in ell])
         np.testing.assert_allclose(got, ndtri(ell / 2.0), rtol=2e-15, atol=0.0)
 
-    def test_import_loads_no_scipy(self):
+    @staticmethod
+    def _scipy_modules_after_import():
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, angular_gof; print([m for m in sys.modules if m.startswith('scipy')])"],
             capture_output=True, text=True, env=_subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_import_does_not_load_scipy_stats(self):
+        assert "'scipy.stats'" not in self._scipy_modules_after_import()
+
+    def test_import_does_not_load_scipy_interpolate(self):
+        # No scipy module at all: interpolate, linalg, optimize and sparse included.
+        assert self._scipy_modules_after_import() == "[]"
 
     def test_cli_runs_with_scipy_blocked(self, tmp_path):
         from angular_gof import datagen as dg
