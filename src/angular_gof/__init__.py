@@ -31,7 +31,7 @@ from .empirical import (
     empirical_stdf,
     select_exceedances,
 )
-from .wasserstein import TestStatistic, test_statistic, weighted_l1_distance
+from .wasserstein import StatisticBatch, TestStatistic, test_statistic, weighted_l1_distance
 from .limitlaw import (
     DESK_GRID,
     PAPER_GRID,
@@ -53,6 +53,7 @@ from .experiments import (
     benjamini_hochberg,
     bonferroni,
     fit,
+    fit_all,
     run_pairwise_analysis,
     run_power_study,
     run_single_test,
@@ -77,6 +78,7 @@ __all__ = [
     "empirical_angular_cdf",
     "empirical_stdf",
     "select_exceedances",
+    "StatisticBatch",
     "TestStatistic",
     "test_statistic",
     "weighted_l1_distance",
@@ -100,6 +102,7 @@ __all__ = [
     "benjamini_hochberg",
     "bonferroni",
     "fit",
+    "fit_all",
     "run_pairwise_analysis",
     "run_power_study",
     "run_single_test",

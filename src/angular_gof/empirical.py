@@ -71,17 +71,23 @@ def count_ties(sample: np.ndarray) -> int:
     return total
 
 
-def _ranked_ties(sample: np.ndarray, ranks: np.ndarray) -> int:
-    """``count_ties`` from the ranks of ``sample``, without another sort.
+def _ranked_ties(sample: np.ndarray, ranks: np.ndarray, k: int) -> tuple[int, tuple]:
+    """``count_ties`` from the ranks of ``sample``, without another sort, and
+    per margin the number of tied values at ranks above n - k.
 
-    Each column is put in rank order and its equal neighbours are counted.
+    Each column is put in rank order and its equal neighbours are counted; a
+    pair counts towards the top k when its upper value has a rank above
+    n - k, so a tie across the threshold rank counts too.
     """
-    ordered = np.empty(sample.shape[0])
-    total = 0
+    n = sample.shape[0]
+    ordered = np.empty(n)
+    total, top = 0, []
     for j in range(2):
         ordered[ranks[:, j] - 1] = sample[:, j]
-        total += int(np.count_nonzero(ordered[1:] == ordered[:-1]))
-    return total
+        equal = ordered[1:] == ordered[:-1]
+        total += int(np.count_nonzero(equal))
+        top.append(int(np.count_nonzero(equal[n - k - 1:])))
+    return total, tuple(top)
 
 
 @dataclass
@@ -96,6 +102,7 @@ class AngularDataset:
     degenerate: bool = False
     has_negative_weights: bool = False
     n_ties: int = 0
+    top_ties: tuple = (0, 0)  # per margin, tied values at ranks above n - k
     ell_hat_11: float = float("nan")
 
     def __post_init__(self):
@@ -147,7 +154,7 @@ def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
 def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> AngularDataset:
     """``select_exceedances`` on ranks already computed from ``sample``."""
     s = _survivors(ranks)
-    n_ties = _ranked_ties(sample, ranks)
+    n_ties, top_ties = _ranked_ties(sample, ranks, k)
     if math.isinf(p):
         mask = np.minimum(s[:, 0], s[:, 1]) <= k
     else:
@@ -157,13 +164,13 @@ def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> Ang
     if K == 0:
         return AngularDataset(
             k=k, K=0, angles=np.empty(0), weights=np.empty(0), p=p,
-            degenerate=True, n_ties=n_ties,
+            degenerate=True, n_ties=n_ties, top_ties=top_ties,
         )
     angles = np.sort(np.arctan2(s[mask, 1], s[mask, 0]))
     weights = np.full(K, 1.0 / K)
     return AngularDataset(
         k=k, K=K, angles=angles, weights=weights, p=p,
-        degenerate=False, n_ties=n_ties,
+        degenerate=False, n_ties=n_ties, top_ties=top_ties,
     )
 
 

@@ -1,13 +1,14 @@
 """Experiment orchestration: one fit, single tests, power curves, pairs.
 
-``fit`` is the one place a sample is fitted: ranks -> exceedance angles ->
-Euclidean reweighting -> extremal-coefficient inversion for the parameter ->
-Wasserstein test statistic.  ``run_single_test`` adds Monte-Carlo draws of
-the null law at the estimate, the p-value and critical values.  Power studies
-fit every replicate and interpolate one table of critical values on a
-parameter grid; multi-pair analyses run one single test per column pair,
-sharing draws between equal estimates, with Bonferroni / Benjamini-Hochberg
-corrections of the p-values.
+``fit_all`` is the one place samples are fitted: ranks -> exceedance angles
+-> Euclidean reweighting -> extremal-coefficient inversion for the parameter
+-> Wasserstein test statistic, the last for all samples in one pass; ``fit``
+is its batch of one.  ``run_single_test`` adds Monte-Carlo draws of the null
+law at the estimate, the p-value and critical values.  Power studies fit the
+replicates of each mixture weight as one batch and interpolate one table of
+critical values on a parameter grid; multi-pair analyses run one single test
+per column pair, sharing draws between equal estimates, with Bonferroni /
+Benjamini-Hochberg corrections of the p-values.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "PairResult",
     "MultiTestReport",
     "fit",
+    "fit_all",
     "run_single_test",
     "run_power_study",
     "bonferroni",
@@ -44,9 +46,10 @@ __all__ = [
 @dataclass
 class Fit:
     """A sample fitted to a family, as far as the fit got: status "ok" sets
-    every field, "degenerate" only ``dataset`` (the exceedances cannot support
-    the weight estimator), "error" the fields computed before the
-    ``DegenerateDataError`` or ``QuadratureError`` named in ``message``."""
+    every field, "degenerate" only ``dataset`` (ties reach the top k ranks of
+    a margin, or the exceedances cannot support the weight estimator),
+    "error" the fields computed before the ``DegenerateDataError`` or
+    ``QuadratureError`` named in ``message``."""
 
     status: str = "ok"
     message: str = ""
@@ -58,20 +61,48 @@ class Fit:
 
 def fit(sample: np.ndarray, family: str, k: int, p: float = 2.0,
         q: WeightKind = WeightKind.INV_SQRT_PI4) -> Fit:
-    """Angular dataset of the top k, r_hat from ell_hat(1,1), and T_n."""
-    out = Fit()
-    try:
-        out.dataset = angular_dataset(sample, k, p)
-        if out.dataset.degenerate:
-            out.status = "degenerate"
-            out.message = "exceedance set cannot support the weight estimator"
-            return out
-        out.estimate = estimate_param(family, out.dataset.ell_hat_11)
-        out.model = make_model(family, out.estimate.r)
-        out.statistic = test_statistic(out.dataset, get_law(out.model, p), q)
-    except (DegenerateDataError, QuadratureError) as exc:
-        out.status, out.message = "error", str(exc)
-    return out
+    """Angular dataset of the top k, r_hat from ell_hat(1,1), and T_n: the
+    batch of one of ``fit_all``."""
+    return fit_all([sample], family, k, p, q)[0]
+
+
+def fit_all(samples, family: str, k: int, p: float = 2.0,
+            q: WeightKind = WeightKind.INV_SQRT_PI4) -> list[Fit]:
+    """``fit`` of every sample of an iterable, in order.
+
+    Each sample is ranked, reweighted and estimated on its own as it is
+    drawn from the iterable; only its angular dataset is kept.  The
+    statistics of all samples that get that far come from one
+    ``test_statistic`` call.
+    """
+    fits, laws = [], []
+    for sample in samples:
+        out = Fit()
+        fits.append(out)
+        try:
+            out.dataset = angular_dataset(sample, k, p)
+            tied = [(j + 1, n) for j, n in enumerate(out.dataset.top_ties) if n]
+            if tied:
+                out.status = "degenerate"
+                out.message = "; ".join(
+                    f"ties reach the top k = {k} ranks of margin {j} ({n} tied values)"
+                    for j, n in tied)
+                continue
+            if out.dataset.degenerate:
+                out.status = "degenerate"
+                out.message = "exceedance set cannot support the weight estimator"
+                continue
+            out.estimate = estimate_param(family, out.dataset.ell_hat_11)
+            out.model = make_model(family, out.estimate.r)
+            laws.append(get_law(out.model, p))
+        except (DegenerateDataError, QuadratureError) as exc:
+            out.status, out.message = "error", str(exc)
+    fitted = [out for out in fits if out.status == "ok"]
+    if fitted:
+        batch = test_statistic([out.dataset for out in fitted], laws, q)
+        for out, stat in zip(fitted, batch.statistics):
+            out.statistic = stat
+    return fits
 
 
 @dataclass
@@ -210,15 +241,14 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     pool over the replicates made the study slower, since they hold the GIL.
     """
     lambdas = np.asarray(config.lambdas, dtype=float)
-
-    def one_rep(li: int, rep: int):
-        spec = datagen.scenario_copula(config.scenario, float(lambdas[li]), config.family)
-        data = datagen.sample(spec, config.n, _data_rng(config.seed, li, rep))
-        res = fit(data, config.family, config.k, config.p, config.q)
-        return (res.estimate.r, res.statistic.value) if res.status == "ok" else None
-
-    # (r_hat, T_n) per replicate, None where the fit failed.
-    fits = [[one_rep(li, rep) for rep in range(config.reps)] for li in range(lambdas.size)]
+    # (r_hat, T_n) per replicate, None where the fit failed; one batch per lambda.
+    fits = []
+    for li, lam in enumerate(lambdas.tolist()):
+        spec = datagen.scenario_copula(config.scenario, lam, config.family)
+        samples = (datagen.sample(spec, config.n, _data_rng(config.seed, li, rep))
+                   for rep in range(config.reps))
+        fits.append([(res.estimate.r, res.statistic.value) if res.status == "ok" else None
+                     for res in fit_all(samples, config.family, config.k, config.p, config.q)])
     r_values = np.array([res[0] for row in fits for res in row if res is not None])
     if r_values.size == 0:
         raise DegenerateDataError("all replicates failed")

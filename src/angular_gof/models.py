@@ -17,13 +17,13 @@ per cumulative, indexed by panel and half, evaluates the CDF at any angle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from ._lru import ByteLRU
 from .geometry import PI_2, PI_4, lp_norm
 
 __all__ = [
@@ -589,9 +589,14 @@ class AngularLaw:
         return self._eval(self._f_table, theta) / self.total_mass
 
 
-@functools.lru_cache(maxsize=256)
+# Bytes of Hermite tables the law cache may hold: 292 laws of 512 cells
+# (112 KiB each), 36 of 4,096.
+_LAW_CACHE_BYTES = 32 * 2**20
+_LAWS = ByteLRU(_LAW_CACHE_BYTES)
+
+
 def _cached_law(family: str, r: float, p: float, tol: float) -> AngularLaw:
-    return AngularLaw(make_model(family, r), p, tol)
+    return _LAWS.get((family, r, p, tol), lambda: AngularLaw(make_model(family, r), p, tol))
 
 
 def get_law(model: Model, p: float, tol: float = 1e-8) -> AngularLaw:

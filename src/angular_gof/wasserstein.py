@@ -15,6 +15,11 @@ power singularity) go on to 2, 4, ... Kronrod panels until two levels agree.
 Cells are mapped through u = sqrt(|theta - pi/4|) for the singular weight so
 the transformed integrand is bounded and no quadrature node ever touches
 pi/4.
+
+Several statistics are computed in one pass: the cells of all datasets go
+through one crossing search and one panel ladder, each cell keeps the index
+of its dataset for the convergence floor and the sums, and each law is
+called once per step on the points of the datasets that use it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .geometry import PI_2, PI_4, WeightKind
 from .empirical import AngularDataset, StepCDF, empirical_angular_cdf
 
-__all__ = ["TestStatistic", "weighted_l1_distance", "test_statistic"]
+__all__ = ["TestStatistic", "StatisticBatch", "weighted_l1_distance", "test_statistic"]
 
 # QUADPACK qk15 (Piessens, de Doncker, Ueberhuber & Kahaner 1983): the
 # Kronrod abscissae on [-1, 1] from 1 down to 0, their weights, and the
@@ -73,22 +78,33 @@ class TestStatistic:
     n_cells: int
 
 
+@dataclass(frozen=True)
+class StatisticBatch:
+    """Statistics of several datasets from one pass, in dataset order;
+    ``n_cells`` is the number of cells of all of them."""
+
+    statistics: tuple
+    n_cells: int
+
+
 def _regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Vectorized Anderson-Bjorck iteration for G(theta) = c on [lo, hi].
 
-    ``f_lo = G(lo) - c`` and ``f_hi = G(hi) - c`` are the residuals at the
-    bracket ends, of opposite signs, which the caller already holds.  Each
-    step evaluates G once, at the regula falsi point of every open bracket
-    (at its midpoint if that point is not finite), and moves the end whose
-    residual has the same sign.  When the same end moves twice in a row the
-    residual kept at the other end is scaled by m = 1 - f(x) / f(replaced
-    end), or by 1/2 if m <= 0 (Anderson & Bjorck 1973), so both ends close
-    in.  A bracket closes at a point whose residual is at most 4 ulp of c,
-    or at an end when the regula falsi point falls within 2 ulp of it (the
-    end's residual is then at rounding level next to the other end's).  After ``_ROOT_MAX_EVALS`` calls of G the last
-    point evaluated is returned; it lies inside its bracket.  The value of
-    the integral does not depend on where a cell is split, only the
-    smoothness of its two pieces does.
+    ``G(x, rows)`` evaluates G at ``x[i]`` for bracket ``rows[i]`` (the
+    brackets may belong to different G).  ``f_lo = G(lo) - c`` and
+    ``f_hi = G(hi) - c`` are the residuals at the bracket ends, of opposite
+    signs, which the caller already holds.  Each step evaluates G once, at
+    the regula falsi point of every open bracket (at its midpoint if that
+    point is not finite), and moves the end whose residual has the same
+    sign.  When the same end moves twice in a row the residual kept at the
+    other end is scaled by m = 1 - f(x) / f(replaced end), or by 1/2 if
+    m <= 0 (Anderson & Bjorck 1973), so both ends close in.  A bracket closes
+    at a point whose residual is at most 4 ulp of c, or at an end when the
+    regula falsi point falls within 2 ulp of it (the end's residual is then
+    at rounding level next to the other end's).  After ``_ROOT_MAX_EVALS``
+    calls of G the last point evaluated is returned; it lies inside its
+    bracket.  The value of the integral does not depend on where a cell is
+    split, only the smoothness of its two pieces does.
     """
     lo, hi = lo.copy(), hi.copy()
     f_lo, f_hi = f_lo.copy(), f_hi.copy()
@@ -109,7 +125,7 @@ def _regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi) -> np.ndarray:
         act, x, fa, fb = act[inside], x[inside], fa[inside], fb[inside]
         if act.size == 0:
             break
-        fx = np.asarray(G(x), dtype=float) - c[act]
+        fx = G(x, act) - c[act]
         to_hi = np.signbit(fx) == np.signbit(fb)
         # Anderson-Bjorck factor for the residual kept at the other end
         m = 1.0 - fx / np.where(to_hi, fb, fa)
@@ -126,59 +142,136 @@ def _regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi) -> np.ndarray:
     return root
 
 
-def _cell_integrals(G, c, lo, hi, singular: bool, tol: float) -> float:
-    """Sum over cells of int |c_i - G| (q) dtheta, with panel refinement.
+def _cell_integrals(G, c, lo, hi, owner, n_owners: int, singular: bool, tol: float) -> np.ndarray:
+    """Per owner, the sum over its cells of int |c_i - G| (q) dtheta.
 
-    Every cell first gets one 15-point Gauss-Kronrod panel, accepted when
-    |K15 - G7| <= tol * max(|K15|, mean cell).  A cell that fails is split
-    into 2, 4, ..., 32 panels until two levels agree to the same tolerance.
-    For the singular weight the cells arrive already transformed to the
-    u = sqrt|theta - pi/4| variable; ``lo``/``hi`` are u-bounds, ``sides``
-    encodes the mapping back to theta, and q dtheta = 2 du.
+    ``owner[i]`` numbers the distance cell i belongs to, and ``G(x, rows)``
+    evaluates G at ``x[i]`` for cell ``rows[i]``.  Every cell first gets one
+    15-point Gauss-Kronrod panel, accepted when
+    |K15 - G7| <= tol * max(|K15|, mean cell of its owner).  A cell that
+    fails is split into 2, 4, ..., 32 panels until two levels agree to the
+    same tolerance.  For the singular weight the cells arrive already
+    transformed to the u = sqrt|theta - pi/4| variable; ``lo``/``hi`` are
+    u-bounds, the sign of ``hi`` gives the side of pi/4, and q dtheta = 2 du.
     """
-    c = np.asarray(c, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     if singular:
         # side = +1 for theta = pi/4 + u^2, -1 for theta = pi/4 - u^2
         sides = np.where(hi > 0, 1.0, -1.0)
-        lo_u, hi_u = np.abs(lo), np.abs(hi)
-        lo_u, hi_u = np.minimum(lo_u, hi_u), np.maximum(lo_u, hi_u)
+        lo, hi = np.abs(lo), np.abs(hi)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
-    total = 0.0
+    totals = np.zeros(n_owners)
     active = np.arange(c.size)
     prev = np.full(c.size, np.nan)
-    scale = 0.0  # mean one-panel cell value: the floor of the convergence test
     for n_panels in (1, 2, 4, 8, 16, 32):
         if active.size == 0:
             break
-        if singular:
-            a, b = lo_u[active], hi_u[active]
-        else:
-            a, b = lo[active], hi[active]
+        a, b = lo[active], hi[active]
         width = (b - a) / n_panels
         # nodes: (cells, panels, 15)
         starts = a[:, None] + width[:, None] * np.arange(n_panels)[None, :]
         nodes = starts[:, :, None] + width[:, None, None] * _GK_NODES
         if singular:
             theta = PI_4 + sides[active][:, None, None] * nodes**2
-            f = 2.0 * np.abs(c[active][:, None, None] - np.asarray(G(theta)))
+            f = 2.0 * np.abs(c[active][:, None, None] - G(theta, active))
         else:
-            f = np.abs(c[active][:, None, None] - np.asarray(G(nodes)))
+            f = np.abs(c[active][:, None, None] - G(nodes, active))
         kg = (f @ _GK_WEIGHTS) * width[:, None, None]  # (cells, panels, [K15, G7])
         vals = np.sum(kg[:, :, 0], axis=1)
         if n_panels == 1:
-            scale = float(np.sum(vals)) / c.size
+            # mean one-panel cell value per owner: the floor of the convergence test
+            scale = (np.bincount(owner, vals, n_owners) / np.bincount(owner, minlength=n_owners))[owner]
             err = np.abs(kg[:, 0, 0] - kg[:, 0, 1])  # K15 - G7
         else:
             err = np.abs(vals - prev[active])
-        done = err <= tol * np.maximum(np.abs(vals), scale)
+        done = err <= tol * np.maximum(np.abs(vals), scale[active])
         prev[active] = vals
-        total += float(np.sum(vals[done]))
+        totals += np.bincount(owner[active[done]], vals[done], n_owners)
         active = active[~done]
     if active.size:
-        total += float(np.sum(prev[active]))
-    return total
+        totals += np.bincount(owner[active], prev[active], n_owners)
+    return totals
+
+
+def _by_group(evals, group, x) -> np.ndarray:
+    """``evals[group[i]](x[i])`` for every i, one call per run of equal
+    ``group`` values (``group`` is nondecreasing along the first axis of x)."""
+    if group[0] == group[-1]:
+        return np.asarray(evals[group[0]](x), dtype=float)
+    out = np.empty(x.shape)
+    bounds = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        out[start:stop] = evals[group[start]](x[start:stop])
+    return out
+
+
+def _distances(Fs, evals, group, q: WeightKind, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``weighted_l1_distance`` of every (Fs[i], evals[group[i]]) in one pass;
+    returns the values and the cell counts in the order of ``Fs``.
+
+    The cells of all distances go through one crossing search and one panel
+    ladder.  Distances are laid out in order of ``group``, so every array of
+    points is ordered by G and each G is called once per step, on one slice.
+    """
+    group = np.asarray(group)
+    order = np.argsort(group, kind="stable")
+    cuts, mids_c = [], []
+    for i in order.tolist():
+        locs = Fs[i].locations
+        cut = np.unique(np.concatenate([[0.0, PI_4, PI_2], locs[(locs > 0) & (locs < PI_2)]]))
+        cuts.append(cut)
+        mids_c.append(Fs[i](0.5 * (cut[:-1] + cut[1:])))  # F is constant per cell
+    owner_cut = np.repeat(order, [cut.size for cut in cuts])
+    cuts = np.concatenate(cuts)
+    g_at_cuts = _by_group(evals, group[owner_cut], cuts)
+    same = owner_cut[1:] == owner_cut[:-1]
+    if np.any(np.diff(g_at_cuts)[same] < -1e-9):
+        raise ValueError("G is not nondecreasing on the partition")
+
+    a0, b0 = cuts[:-1][same], cuts[1:][same]
+    ga, gb = g_at_cuts[:-1][same], g_at_cuts[1:][same]
+    keep = (b0 - a0) > 1e-15
+    a0, b0, ga, gb = a0[keep], b0[keep], ga[keep], gb[keep]
+    c = np.concatenate(mids_c)[keep]
+    owner = owner_cut[:-1][same][keep]
+
+    # Split cells where G crosses the constant c; each crossing cell (a, b)
+    # becomes (a, root) and (root, b) so the integrand is C^1 per cell.  The
+    # two pieces take the cell's place, so the cells stay ordered by G.
+    fa, fb = ga - c, gb - c
+    crossing = fa * fb < 0.0
+    pieces = 1 + crossing
+    idx = np.repeat(np.arange(c.size), pieces)
+    a_all, b_all, c_all = a0[idx], b0[idx], c[idx]
+    if np.any(crossing):
+        cross_group = group[owner[crossing]]
+        roots = _regula_falsi_crossings(
+            lambda x, rows: _by_group(evals, cross_group[rows], x),
+            c[crossing], a0[crossing], b0[crossing], fa[crossing], fb[crossing],
+        )
+        left = (np.cumsum(pieces) - pieces)[crossing]
+        b_all[left], a_all[left + 1] = roots, roots
+    owner = owner[idx]
+
+    ok = (b_all - a_all) > 1e-15
+    a_all, b_all, c_all, owner = a_all[ok], b_all[ok], c_all[ok], owner[ok]
+    cell_group = group[owner]
+    n_cells = np.bincount(owner, minlength=len(Fs))
+
+    def G(x, rows):
+        return _by_group(evals, cell_group[rows], x)
+
+    if q is WeightKind.CONSTANT:
+        totals = _cell_integrals(G, c_all, a_all, b_all, owner, len(Fs), singular=False, tol=tol)
+    else:
+        # Transform each cell to the u = sqrt|theta - pi/4| variable.  Every
+        # cell lies on one side of pi/4 because pi/4 is a partition cut.
+        right = a_all >= PI_4
+        u_lo = np.where(right, np.sqrt(np.maximum(a_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - a_all, 0.0)))
+        u_hi = np.where(right, np.sqrt(np.maximum(b_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - b_all, 0.0)))
+        # encode side in the sign of hi (see _cell_integrals)
+        totals = _cell_integrals(G, c_all, u_lo, u_hi, owner, len(Fs), singular=True, tol=tol)
+    return totals, n_cells
 
 
 def weighted_l1_distance(F: StepCDF, G, q: WeightKind, tol: float = 1e-7) -> tuple[float, int]:
@@ -197,57 +290,34 @@ def weighted_l1_distance(F: StepCDF, G, q: WeightKind, tol: float = 1e-7) -> tup
     the total.  A piece whose value is below ``tol`` times the mean piece
     stops after one panel.  Such a statistic evaluates G at about 3,000 points.
     """
-    locs = np.asarray(F.locations, dtype=float)
-    cuts = np.unique(np.concatenate([[0.0, PI_4, PI_2], locs[(locs > 0) & (locs < PI_2)]]))
-    g_at_cuts = np.asarray(G(cuts), dtype=float)
-    if np.any(np.diff(g_at_cuts) < -1e-9):
-        raise ValueError("G is not nondecreasing on the partition")
-
-    a0 = cuts[:-1]
-    b0 = cuts[1:]
-    keep = (b0 - a0) > 1e-15
-    a0, b0 = a0[keep], b0[keep]
-    ga, gb = g_at_cuts[:-1][keep], g_at_cuts[1:][keep]
-    c = np.asarray(F(0.5 * (a0 + b0)), dtype=float)  # F is constant per cell
-
-    # Split cells where G crosses the constant c; each crossing cell (a, b)
-    # becomes (a, root) and (root, b) so the integrand is C^1 per cell.
-    fa, fb = ga - c, gb - c
-    crossing = fa * fb < 0.0
-    if np.any(crossing):
-        roots = _regula_falsi_crossings(
-            G, c[crossing], a0[crossing], b0[crossing], fa[crossing], fb[crossing]
-        )
-        a_all = np.concatenate([a0[~crossing], a0[crossing], roots])
-        b_all = np.concatenate([b0[~crossing], roots, b0[crossing]])
-        c_all = np.concatenate([c[~crossing], c[crossing], c[crossing]])
-    else:
-        a_all, b_all, c_all = a0, b0, c
-
-    ok = (b_all - a_all) > 1e-15
-    a_all, b_all, c_all = a_all[ok], b_all[ok], c_all[ok]
-    n_cells = int(a_all.size)
-
-    if q is WeightKind.CONSTANT:
-        total = _cell_integrals(G, c_all, a_all, b_all, singular=False, tol=tol)
-    else:
-        # Transform each cell to the u = sqrt|theta - pi/4| variable.  Every
-        # cell lies on one side of pi/4 because pi/4 is a partition cut.
-        right = a_all >= PI_4
-        u_lo = np.where(right, np.sqrt(np.maximum(a_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - a_all, 0.0)))
-        u_hi = np.where(right, np.sqrt(np.maximum(b_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - b_all, 0.0)))
-        # encode side in the sign of hi (see _cell_integrals)
-        total = _cell_integrals(G, c_all, u_lo, u_hi, singular=True, tol=tol)
-    return total, n_cells
+    totals, n_cells = _distances([F], [G], [0], q, tol)
+    return float(totals[0]), int(n_cells[0])
 
 
-def test_statistic(dataset: AngularDataset, law, q: WeightKind, tol: float = 1e-7) -> TestStatistic:
-    """T_n = sqrt(k) * weighted L1 distance between Q-tilde and the model Q."""
-    F = empirical_angular_cdf(dataset, reweighted=True)
-    value, n_cells = weighted_l1_distance(F, law.normalized_cdf, q, tol)
-    return TestStatistic(
-        value=math.sqrt(dataset.k) * value,
-        k=dataset.k,
-        weight_kind=q,
-        n_cells=n_cells,
+def test_statistic(dataset, law, q: WeightKind, tol: float = 1e-7):
+    """T_n = sqrt(k) * weighted L1 distance between Q-tilde and the model Q.
+
+    Given one dataset and its law, returns a ``TestStatistic``.  Given a
+    sequence of datasets and a sequence of laws (one per dataset), computes
+    all statistics in one pass and returns a ``StatisticBatch``; each law is
+    called once per step on the points of all datasets that use it, and each
+    statistic equals its one-dataset value to rounding.
+    """
+    if isinstance(dataset, AngularDataset):
+        return test_statistic([dataset], [law], q, tol).statistics[0]
+    datasets, laws = list(dataset), list(law)
+    if len(laws) != len(datasets):
+        raise ValueError(f"{len(datasets)} datasets but {len(laws)} laws")
+    if not datasets:
+        return StatisticBatch(statistics=(), n_cells=0)
+    Fs = [empirical_angular_cdf(ds, reweighted=True) for ds in datasets]
+    distinct = {id(one): one for one in laws}  # in order of first use
+    index = {key: i for i, key in enumerate(distinct)}
+    group = [index[id(one)] for one in laws]
+    evals = [one.normalized_cdf for one in distinct.values()]
+    totals, n_cells = _distances(Fs, evals, group, q, tol)
+    stats = tuple(
+        TestStatistic(value=math.sqrt(ds.k) * float(total), k=ds.k, weight_kind=q, n_cells=int(n))
+        for ds, total, n in zip(datasets, totals, n_cells)
     )
+    return StatisticBatch(statistics=stats, n_cells=int(n_cells.sum()))

@@ -244,6 +244,17 @@ class TestCommands:
         assert rc == 1
 
 
+    def test_constant_column_is_degenerate(self, tmp_path, capsys):
+        data = dg.sample(dg.husler_reiss(1.0), 600, np.random.default_rng(6))
+        data[:, 0] = 2.0
+        path = tmp_path / "const.csv"
+        np.savetxt(path, data, delimiter=",")
+        rc = cli.main(["test", str(path), "--family", "hr", "--B", "20", "--seed", "0"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "degenerate"
+        assert payload["message"] == "ties reach the top k = 24 ranks of margin 1 (24 tied values)"
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, pair_csv, tmp_path):
         """Same inputs and seed produce byte-identical output files, across

@@ -72,6 +72,24 @@ class TestRanks:
         assert emp.angular_dataset(x, 20, 2.0).n_ties == n_ties
 
 
+    def test_top_ties_per_margin(self):
+        # n = 10, k = 3: ranks 8..10 are the top k, rank 7 is n - k
+        col = np.arange(10.0)
+        x = np.column_stack([col, col[::-1]])
+        assert emp.select_exceedances(x, 3, 2.0).top_ties == (0, 0)
+        below = x.copy()
+        below[[0, 1], 0] = 0.0  # a tie at ranks 1-2 only
+        assert emp.select_exceedances(below, 3, 2.0).top_ties == (0, 0)
+        across = x.copy()
+        across[6, 0] = 7.0  # ranks 7 and 8 tie across the threshold
+        assert emp.select_exceedances(across, 3, 2.0).top_ties == (1, 0)
+        inside = x.copy()
+        inside[[0, 1, 2], 1] = 9.5  # three equal values at ranks 8..10
+        assert emp.angular_dataset(inside, 3, 2.0).top_ties == (0, 2)
+        constant = x.copy()
+        constant[:, 0] = 1.0
+        assert emp.angular_dataset(constant, 3, 2.0).top_ties == (3, 0)
+
 class TestExceedances:
     def test_count_matches_bruteforce(self):
         x = _rng(2).normal(size=(200, 2))

@@ -53,6 +53,59 @@ class TestFit:
         assert res.message.startswith("no convergence")
         assert res.estimate is not None and res.statistic is None
 
+    def test_constant_column_is_degenerate(self):
+        x = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(4))
+        x[:, 1] = 0.5
+        res = ex.fit(x, "hr", 28)
+        assert res.status == "degenerate"
+        assert res.message == "ties reach the top k = 28 ranks of margin 2 (28 tied values)"
+        assert res.estimate is None and res.statistic is None
+
+    def test_ties_below_the_top_k_are_ok(self):
+        x = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(4))
+        low = x[:, 0] < np.median(x[:, 0])
+        x[low, 0] = np.round(x[low, 0], 1)
+        res = ex.fit(x, "hr", 28)
+        assert res.status == "ok"
+        assert res.dataset.n_ties > 0 and res.dataset.top_ties == (0, 0)
+
+
+class TestFitAll:
+    SPEC = dg.scenario_copula(2, 0.4, "hr")
+
+    def _samples(self, count):
+        return [dg.sample(self.SPEC, 1500, np.random.default_rng(seed)) for seed in range(count)]
+
+    def test_matches_fit(self):
+        samples = self._samples(6)
+        fits = ex.fit_all(iter(samples), "hr", 40)
+        for x, res in zip(samples, fits):
+            ref = ex.fit(x, "hr", 40)
+            assert res.status == ref.status == "ok"
+            assert res.estimate == ref.estimate
+            assert res.statistic.value == pytest.approx(ref.statistic.value, rel=1e-12, abs=0.0)
+            assert res.statistic.n_cells == ref.statistic.n_cells
+
+    def test_failures_are_marked_alone(self, monkeypatch):
+        good = self._samples(3)
+        u = np.random.default_rng(2).uniform(size=1500)
+        samples = [good[0], np.column_stack([u, u]), good[1], good[2]]
+        refs = [ex.fit(x, "hr", 40) for x in good]
+        calls = []
+
+        def second_law_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise QuadratureError("no convergence", 1e-3)
+            return get_law(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "get_law", second_law_fails)
+        fits = ex.fit_all(samples, "hr", 40)
+        assert [res.status for res in fits] == ["ok", "degenerate", "error", "ok"]
+        assert fits[2].message.startswith("no convergence") and fits[2].statistic is None
+        for res, ref in ((fits[0], refs[0]), (fits[3], refs[2])):
+            assert res.statistic.value == pytest.approx(ref.statistic.value, rel=1e-12, abs=0.0)
+
 
 class TestSingleTest:
     def test_null_data_accepts(self):
@@ -148,6 +201,22 @@ class TestPowerStudy:
         b = ex.run_power_study(cfg, threads=4)
         np.testing.assert_array_equal(a.rates, b.rates)
 
+
+    def test_one_statistic_call_per_lambda(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ws.test_statistic(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "test_statistic", counting)
+        cfg = ex.ScenarioConfig(
+            family="hr", scenario=2, lambdas=(0.0, 0.4, 0.8), n=400, k=20,
+            B=20, alpha=0.1, reps=5, seed=2, grid=TINY,
+        )
+        curve = ex.run_power_study(cfg)
+        assert curve.reps.tolist() == [5, 5, 5]
+        assert len(calls) == 3
 
 class TestPairwise:
     def test_mixed_table(self):

@@ -490,3 +490,21 @@ class TestCriticalValueTable:
         )
         expect = float(f"{ll.quantile(draws, 0.95):.12g}")
         assert table.interp(0.5, 0.95) == expect
+
+
+class TestSimulatorCache:
+    def test_builds_through_the_module_attribute(self, monkeypatch):
+        built = []
+        real = ll.LimitLawSimulator
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ll, "LimitLawSimulator", counting)
+        grid = ll.FieldGrid(h=0.1, M=22, N=17)  # a grid no other test uses
+        model = LogisticModel(0.45)
+        first = ll.get_simulator(model, 2.0, grid, WeightKind.CONSTANT)
+        again = ll.get_simulator(model, 2.0, grid, WeightKind.CONSTANT)
+        assert first is again and built == [model]
+        assert ll._SIMULATORS.nbytes <= ll._SIMULATOR_CACHE_BYTES

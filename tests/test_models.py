@@ -462,3 +462,53 @@ class TestPchipOracle:
             law.f_integral(theta) * law.total_mass, _pchip_oracle(law, theta, True),
             rtol=0, atol=tol,
         )
+
+
+class TestByteLRU:
+    class _Entry:
+        def __init__(self, nbytes):
+            self.table = np.zeros(nbytes // 8)
+            self.name = "not counted"
+
+    def test_evicts_least_recently_used_under_the_limit(self):
+        from angular_gof._lru import ByteLRU
+
+        cache = ByteLRU(limit=3 * 800)
+        built = []
+
+        def get(key):
+            def build():
+                built.append(key)
+                return self._Entry(800)
+            return cache.get(key, build)
+
+        for key in "abca":  # "b" is now the least recently used
+            get(key)
+        assert built == ["a", "b", "c"] and cache.nbytes == 2400
+        get("d")  # overfull: "b" goes
+        assert cache.nbytes == 2400 <= cache.limit
+        for key in "cad":
+            get(key)
+        assert built == ["a", "b", "c", "d"]
+        get("b")  # rebuilt; "c" goes
+        get("c")
+        assert built == ["a", "b", "c", "d", "b", "c"]
+        assert cache.nbytes <= cache.limit
+
+    def test_an_entry_over_the_limit_is_kept_alone(self):
+        from angular_gof._lru import ByteLRU
+
+        cache = ByteLRU(limit=1000)
+        small = cache.get("small", lambda: self._Entry(400))
+        big = cache.get("big", lambda: self._Entry(4000))
+        assert cache.nbytes == 4000
+        assert cache.get("big", lambda: None) is big
+        assert cache.get("small", lambda: self._Entry(400)) is not small  # evicted, rebuilt
+        assert cache.nbytes == 400
+
+    def test_law_cache_counts_table_bytes(self):
+        law = md.get_law(md.make_model("logistic", 0.5), 2.0)
+        assert md._LAWS.get(("logistic", 0.5, 2.0, 1e-8), lambda: None) is law
+        n = law._cdf_table.shape[1]
+        assert md._LAWS.nbytes >= 2 * 7 * n * 8
+        assert md._LAWS.nbytes <= md._LAW_CACHE_BYTES

@@ -179,7 +179,7 @@ class TestAgainstBisectionOracle:
             G = law.normalized_cdf
             c, lo, hi = wo.crossing_brackets(F, G)
             ref = wo.bisect_crossings(G, c, lo, hi)
-            new = ws._regula_falsi_crossings(G, c, lo, hi, G(lo) - c, G(hi) - c)
+            new = ws._regula_falsi_crossings(lambda x, _rows: G(x), c, lo, hi, G(lo) - c, G(hi) - c)
             assert np.all((new >= lo) & (new <= hi))
             # The oracle's root is the midpoint of a bracket of width
             # (hi - lo) / 2^48.  Where the roots differ by more, G cannot
@@ -208,7 +208,7 @@ class TestAgainstBisectionOracle:
         lo, hi, c = np.array([0.0]), np.array([PI_2]), np.array([0.5])
         f_lo, f_hi = G(lo) - c, G(hi) - c
         calls.clear()
-        root = ws._regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi)
+        root = ws._regula_falsi_crossings(lambda x, _rows: G(x), c, lo, hi, f_lo, f_hi)
         assert len(calls) <= 48
         assert lo[0] < root[0] < hi[0]
         assert abs(root[0] - t0) <= 1e-11
@@ -239,9 +239,9 @@ def hr_scenario_two_counts():
     real = ws._regula_falsi_crossings
 
     def counting_crossings(G, *args):
-        def counted(theta):
+        def counted(theta, rows):
             crossing_calls[-1] += 1
-            return G(theta)
+            return G(theta, rows)
 
         return real(counted, *args)
 
@@ -273,3 +273,65 @@ class TestEvaluationCount:
     def test_crossing_calls(self, hr_scenario_two_counts):
         # 5 or 6 crossings, iterated together
         assert np.mean(hr_scenario_two_counts[2]) <= 5.5
+
+
+def _batch_cases(p):
+    """Datasets with a law each: logistic and Hüsler-Reiss, among them HR
+    r = 2 (kappa = 4 > 2); the first law comes back at the end, so the batch
+    has to regroup its datasets by law."""
+    specs = [("logistic", 0.5, datagen.gumbel(2.0)), ("hr", 1.0, datagen.husler_reiss(1.0)),
+             ("hr", 2.0, datagen.husler_reiss(2.0)), ("logistic", 0.8, datagen.gumbel(1.25)),
+             ("hr", 0.5, datagen.husler_reiss(0.5))]
+    cases = []
+    for seed, (family, r, spec) in enumerate(specs):
+        ds = angular_dataset(datagen.sample(spec, 2000, np.random.default_rng(seed)), 60, p)
+        cases.append((ds, get_law(make_model(family, r), p)))
+    extra = angular_dataset(datagen.sample(datagen.gumbel(2.0), 2000, np.random.default_rng(9)), 60, p)
+    return cases + [(extra, cases[0][1])]
+
+
+class TestBatch:
+    @pytest.mark.parametrize("kind", [WeightKind.CONSTANT, WeightKind.INV_SQRT_PI4])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_batch_matches_one_at_a_time(self, p, kind):
+        cases = _batch_cases(p)
+        assert max(law.model.endpoint_kappa() for _, law in cases) > 2.0
+        batch = ws.test_statistic([ds for ds, _ in cases], [law for _, law in cases], kind)
+        singles = [ws.test_statistic(ds, law, kind) for ds, law in cases]
+        assert len(batch.statistics) == len(cases)
+        for got, ref in zip(batch.statistics, singles):
+            assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            assert (got.k, got.weight_kind, got.n_cells) == (ref.k, ref.weight_kind, ref.n_cells)
+        assert isinstance(batch.n_cells, int)
+        assert batch.n_cells == sum(s.n_cells for s in singles)
+
+    def test_each_law_called_once_per_step(self, monkeypatch):
+        cases = _batch_cases(2.0)
+        datasets = [ds for ds, _ in cases]
+
+        def counting(laws):
+            wrapped = {id(law): _CountingLaw(law) for law in laws}
+            return [wrapped[id(law)] for law in laws], list(wrapped.values())
+
+        singles, single_counts = counting([law for _, law in cases])
+        for ds, law in zip(datasets, singles):
+            ws.test_statistic(ds, law, WeightKind.INV_SQRT_PI4)
+        steps = []
+        real = ws._by_group
+        monkeypatch.setattr(ws, "_by_group", lambda *a: steps.append(1) or real(*a))
+        batched, batch_counts = counting([law for _, law in cases])
+        ws.test_statistic(datasets, batched, WeightKind.INV_SQRT_PI4)
+        # the partition, the crossing steps and the panel levels of the whole batch
+        assert len(steps) <= 1 + ws._ROOT_MAX_EVALS + 6
+        assert all(1 <= law.calls <= len(steps) for law in batch_counts)
+        # the same points as one dataset at a time
+        assert [law.points for law in batch_counts] == [law.points for law in single_counts]
+
+    def test_empty_batch(self):
+        batch = ws.test_statistic([], [], WeightKind.CONSTANT)
+        assert batch.statistics == () and batch.n_cells == 0
+
+    def test_one_law_per_dataset(self):
+        (ds, law), *_ = _batch_cases(2.0)
+        with pytest.raises(ValueError, match="2 datasets but 1 laws"):
+            ws.test_statistic([ds, ds], [law], WeightKind.CONSTANT)
