@@ -8,7 +8,7 @@ corrections flag.
 
 Example:
     python3 scripts/synthetic_pairs.py --pairs 15 --bad 2 --n 3000 \
-        --family hr --B 2000 --threads 8
+        --family hr --B 2000
 """
 
 import argparse
@@ -54,7 +54,6 @@ def main(argv=None):
     ap.add_argument("--alpha", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--grid", choices=sorted(GRID_PRESETS), default="desk")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args(argv)
 
     table, pair_idx, labels = build_table(
@@ -64,7 +63,7 @@ def main(argv=None):
     report = run_pairwise_analysis(
         table, pair_idx, family=args.family, k=args.k, q=WeightKind.INV_SQRT_PI4,
         B=args.B, alpha=args.alpha, seed=args.seed,
-        grid=GRID_PRESETS[args.grid], threads=args.threads, labels=labels,
+        grid=GRID_PRESETS[args.grid], labels=labels,
     )
     elapsed = time.perf_counter() - t0
 

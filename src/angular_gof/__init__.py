@@ -37,7 +37,6 @@ from .limitlaw import (
     PAPER_GRID,
     CriticalValueTable,
     FieldGrid,
-    LimitLawDraws,
     UnsupportedFeatureError,
     critical_value_table,
     p_value,
@@ -86,7 +85,6 @@ __all__ = [
     "PAPER_GRID",
     "CriticalValueTable",
     "FieldGrid",
-    "LimitLawDraws",
     "UnsupportedFeatureError",
     "critical_value_table",
     "p_value",

@@ -141,7 +141,8 @@ def _add_common(sp, B_default: int):
     sp.add_argument("--B", type=int, default=B_default, help="Monte-Carlo replicates")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid", choices=tuple(GRID_PRESETS), default="desk")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored: BLAS sets the threads of the null-law draws")
     sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
 
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated parameter values")
     sp.add_argument("--alpha", default="0.9,0.95,0.99")
     sp.add_argument("--cache", default=None,
-                    help="write the table here in the plain-text cache format")
+                    help="also write the JSON report here, for CriticalValueTable.load")
     _add_common(sp, B_default=2000)
 
     sp = sub.add_parser("power", help="rejection-rate curve for a mixture scenario")
@@ -207,7 +208,7 @@ def _cmd_test(args) -> int:
     report = run_single_test(
         data, args.family, k, p=args.p, q=WeightKind.from_name(args.q),
         B=args.B, seed=args.seed, grid=_grid_from_args(args),
-        alphas=alphas, threads=args.threads,
+        alphas=alphas,
     )
     _emit(report.to_dict(), args.out)
     return 0 if report.status == "ok" else 1
@@ -222,22 +223,11 @@ def _cmd_quantiles(args) -> int:
         return _input_error(str(exc), args.out)
     table = critical_value_table(
         args.family, args.p, _grid_from_args(args), WeightKind.from_name(args.q),
-        r_grid, alphas, args.B, seed=args.seed, threads=args.threads,
+        r_grid, alphas, args.B, seed=args.seed,
     )
     if args.cache:
         table.save(args.cache)
-    payload = {
-        "family": table.family,
-        "p": table.p,
-        "q": table.q.value,
-        "grid": [table.grid.h, table.grid.M, table.grid.N],
-        "B": table.B,
-        "seed": table.seed,
-        "alphas": list(table.alphas),
-        "r_grid": table.r_grid.tolist(),
-        "quantiles": table.quantiles.tolist(),
-    }
-    _emit(payload, args.out)
+    _emit(table.to_dict(), args.out)
     return 0
 
 
@@ -262,7 +252,7 @@ def _cmd_power(args) -> int:
         B=args.B, alpha=args.alpha, reps=args.reps, seed=args.seed,
         grid=_grid_from_args(args),
     )
-    curve = run_power_study(config, threads=args.threads)
+    curve = run_power_study(config)
     payload = {
         "family": args.family,
         "scenario": args.scenario,
@@ -291,6 +281,8 @@ def _cmd_pairs(args) -> int:
     if args.k is not None and args.k < 1:
         return _input_error(f"--k must be at least 1, got {args.k}", args.out)
     d = data.shape[1]
+    if d < 2:
+        return _input_error(f"{args.input}: pairs needs at least two columns, got {d}", args.out)
     if args.pairs:
         try:
             pairs = _parse_pairs(args.pairs, d)
@@ -302,8 +294,7 @@ def _cmd_pairs(args) -> int:
     report = run_pairwise_analysis(
         data, pairs, family=args.family, k=args.k, p=args.p,
         q=WeightKind.from_name(args.q), B=args.B, alpha=args.alpha,
-        seed=args.seed, grid=_grid_from_args(args), threads=args.threads,
-        labels=labels,
+        seed=args.seed, grid=_grid_from_args(args), labels=labels,
     )
     payload = {
         "alpha": report.alpha,
@@ -335,6 +326,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed < 0:
+        return _input_error(f"--seed must be at least 0, got {args.seed}", args.out)
     return _COMMANDS[args.command](args)
 
 

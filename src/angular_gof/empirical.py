@@ -21,7 +21,6 @@ __all__ = [
     "AngularDataset",
     "StepCDF",
     "compute_ranks",
-    "count_ties",
     "select_exceedances",
     "euclidean_weights",
     "angular_dataset",
@@ -61,19 +60,10 @@ def compute_ranks(sample: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def count_ties(sample: np.ndarray) -> int:
-    """Number of tied (duplicated) values across both margins."""
-    sample = np.asarray(sample, dtype=float)
-    total = 0
-    for j in range(2):
-        col = sample[:, j]
-        total += int(col.size - np.unique(col).size)
-    return total
-
-
 def _ranked_ties(sample: np.ndarray, ranks: np.ndarray, k: int) -> tuple[int, tuple]:
-    """``count_ties`` from the ranks of ``sample``, without another sort, and
-    per margin the number of tied values at ranks above n - k.
+    """Number of tied (duplicated) values across both margins, from the ranks
+    of ``sample`` without another sort, and per margin the number of tied
+    values at ranks above n - k.
 
     Each column is put in rank order and its equal neighbours are counted; a
     pair counts towards the top k when its upper value has a rank above
@@ -193,7 +183,7 @@ def euclidean_weights(angles: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - (fbar / var_f) * (fvals - fbar)) / K
 
 
-def angular_dataset(sample: np.ndarray, k: int, p: float, reweight: bool = True) -> AngularDataset:
+def angular_dataset(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     """Full pipeline: exceedances, Euclidean weights, and ell_hat(1,1).
 
     The ranks are computed once and shared by both estimators.
@@ -205,24 +195,23 @@ def angular_dataset(sample: np.ndarray, k: int, p: float, reweight: bool = True)
     ds.ell_hat_11 = _stdf(ranks, k, 1.0, 1.0)
     if ds.degenerate:
         return ds
-    if reweight:
-        try:
-            ds.weights = euclidean_weights(ds.angles, p)
-        except DegenerateDataError:
-            ds.degenerate = True
-            return ds
-        ds.has_negative_weights = bool(np.any(ds.weights < 0.0))
+    try:
+        ds.weights = euclidean_weights(ds.angles, p)
+    except DegenerateDataError:
+        ds.degenerate = True
+        return ds
+    ds.has_negative_weights = bool(np.any(ds.weights < 0.0))
     return ds
 
 
-def empirical_angular_cdf(dataset: AngularDataset, reweighted: bool = True) -> StepCDF:
-    """Step CDF of the empirical angular probability measure."""
+def empirical_angular_cdf(dataset: AngularDataset) -> StepCDF:
+    """Step CDF of the empirical angular probability measure with the
+    dataset's weights."""
     if dataset.degenerate or dataset.K == 0:
         raise DegenerateDataError("cannot build a CDF from a degenerate dataset")
-    weights = dataset.weights if reweighted else np.full(dataset.K, 1.0 / dataset.K)
     # Merge coincident angles so the step function has strictly increasing jumps.
     locations, inverse = np.unique(dataset.angles, return_inverse=True)
-    masses = np.bincount(inverse, weights=weights, minlength=locations.size)
+    masses = np.bincount(inverse, weights=dataset.weights, minlength=locations.size)
     cumulative = np.cumsum(masses)
     # The weights sum to 1, but the running sum can end a few ulp off it; a
     # step CDF ending short of 1 crosses G spuriously in the last cell.

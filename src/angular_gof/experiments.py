@@ -145,7 +145,6 @@ def run_single_test(
     seed: int = 0,
     grid: FieldGrid = DESK_GRID,
     alphas: tuple = (0.9, 0.95, 0.99),
-    threads: int = 1,
     draw_memo: dict | None = None,
 ) -> TestReport:
     """Full goodness-of-fit test of ``family`` on one bivariate sample.
@@ -173,7 +172,7 @@ def run_single_test(
     key = round(est.r, 12)
     try:
         if key not in memo:
-            memo[key] = simulate_L(res.model, p, grid, q, B, base_seed=seed, threads=threads)
+            memo[key] = simulate_L(res.model, p, grid, q, B, base_seed=seed)
     except QuadratureError as exc:
         report.status, report.message = "error", str(exc)
         return report
@@ -209,9 +208,7 @@ class PowerCurve:
     ses: np.ndarray
     reps: np.ndarray  # successful replicates per lambda
     failures: np.ndarray
-    config: ScenarioConfig
     r_grid: np.ndarray
-    critical_alpha: float
 
 
 def _data_rng(seed: int, lam_index: int, rep: int) -> np.random.Generator:
@@ -237,7 +234,7 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     (1 - alpha) null quantile on a parameter grid covering the observed r_hat
     range and interpolates the decisions.
 
-    ``threads`` is accepted for the callers' signatures and unused: a thread
+    ``threads`` is accepted and ignored, for callers that pass it: a thread
     pool over the replicates made the study slower, since they hold the GIL.
     """
     lambdas = np.asarray(config.lambdas, dtype=float)
@@ -256,7 +253,7 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     q_level = 1.0 - config.alpha
     table = critical_value_table(
         config.family, config.p, config.grid, config.q,
-        r_grid, (q_level,), config.B, seed=config.seed, threads=threads,
+        r_grid, (q_level,), config.B, seed=config.seed,
     )
     decisions = [
         [t_val > table.interp(r_hat, q_level) for r_hat, t_val in filter(None, row)]
@@ -269,20 +266,22 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
                     for rate, n_ok in zip(rates.tolist(), reps_ok.tolist())])
     return PowerCurve(
         lambdas=lambdas, rates=rates, ses=ses, reps=reps_ok, failures=failures,
-        config=config, r_grid=r_grid, critical_alpha=config.alpha,
+        r_grid=r_grid,
     )
 
 
 def bonferroni(pvalues, alpha: float) -> np.ndarray:
     """Family-wise correction: reject when p <= alpha / m."""
     pvalues = np.asarray(pvalues, dtype=float)
-    return pvalues <= alpha / pvalues.size
+    return pvalues <= alpha / max(pvalues.size, 1)
 
 
 def benjamini_hochberg(pvalues, alpha: float, dependent: bool = False) -> np.ndarray:
     """Step-up FDR control; the dependent variant divides alpha by H_m."""
     pvalues = np.asarray(pvalues, dtype=float)
     m = pvalues.size
+    if m == 0:
+        return np.zeros(0, dtype=bool)
     level = alpha
     if dependent:
         level = alpha / float(np.sum(1.0 / np.arange(1, m + 1)))
@@ -325,7 +324,6 @@ def run_pairwise_analysis(
     alpha: float = 0.05,
     seed: int = 0,
     grid: FieldGrid = DESK_GRID,
-    threads: int = 1,
     labels: list | None = None,
 ) -> MultiTestReport:
     """Goodness-of-fit tests for a list of column pairs of a data table.
@@ -353,8 +351,7 @@ def run_pairwise_analysis(
             )
         else:
             report = run_single_test(
-                data, family, k_pair, p, q, B, seed=seed, grid=grid,
-                threads=threads, draw_memo=draw_memo,
+                data, family, k_pair, p, q, B, seed=seed, grid=grid, draw_memo=draw_memo,
             )
         results.append(PairResult(label, report))
 

@@ -49,7 +49,6 @@ depends on neither B nor the thread count.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -60,7 +59,6 @@ from ._lru import ByteLRU
 from .geometry import PI_2, WeightKind
 from .models import (
     Model,
-    expansion_constants,
     get_law,
     grad_normalized_cdf,
     make_model,
@@ -70,7 +68,6 @@ __all__ = [
     "FieldGrid",
     "DESK_GRID",
     "PAPER_GRID",
-    "LimitLawDraws",
     "CriticalValueTable",
     "UnsupportedFeatureError",
     "cell_masses",
@@ -229,10 +226,9 @@ def _strip_tables(model: Model, p: float, grid: FieldGrid) -> _StripTables:
     theta = grid.theta_grid()
     tan = np.array([math.tan(t) for t in theta])
     xm = (np.arange(m) + 0.5) * h
-    g, (x0, y0) = expansion_constants(model)
-    d1, d2 = model.stdf_partials(x0, y0)
-    i11 = int(marg_index(x0, grid))
-    j11 = int(marg_index(y0, grid))
+    g = model.expansion_g()
+    d1, d2 = model.stdf_partials(1.0, 1.0)
+    i11 = j11 = int(marg_index(1.0, grid))
 
     # Chord entries, row by row: row k holds midpoints 0..c[k]-1, and the
     # theta = pi/2 row none.
@@ -404,7 +400,7 @@ def _to_X(sigma: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndar
     return out
 
 
-def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> np.ndarray:
+def _covariance(model: Model, p: float, grid: FieldGrid) -> np.ndarray:
     """Exact covariance of X on the theta grid, shape (N, N).
 
     Row r of alpha_ext = (alpha(theta_1..N), alpha(pi/2), I) gives cell (i, j)
@@ -427,9 +423,8 @@ def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> n
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
     N = grid.N
     R = N + 2
-    g, (x0, y0) = expansion_constants(model)
-    i11 = int(marg_index(x0, grid))
-    j11 = int(marg_index(y0, grid))
+    g = model.expansion_g()
+    i11 = j11 = int(marg_index(1.0, grid))
     tables = _strip_tables(model, p, grid)
 
     masses = cell_masses(model, grid)
@@ -463,7 +458,7 @@ def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> n
     sigma[N + 1, : N + 1] -= g * set_in_block
     sigma[N + 1, N + 1] += g * g * block_mass
 
-    law = get_law(model, p, tol)
+    law = get_law(model, p)
     theta = grid.theta_grid()
     return _to_X(
         sigma,
@@ -471,7 +466,7 @@ def _covariance(model: Model, p: float, grid: FieldGrid, tol: float = 1e-8) -> n
         law.f_integral(theta),
         (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
         law.total_mass,
-        grad_normalized_cdf(model, p, theta, tol),
+        grad_normalized_cdf(model, p, theta),
     )
 
 
@@ -494,12 +489,12 @@ class LimitLawSimulator:
     -delta) raises ``numpy.linalg.LinAlgError``.
     """
 
-    def __init__(self, model: Model, p: float, grid: FieldGrid, q: WeightKind, tol: float = 1e-8):
+    def __init__(self, model: Model, p: float, grid: FieldGrid, q: WeightKind):
         self.model = model
         self.p = p
         self.grid = grid
         self.q = q
-        sigma = _covariance(model, p, grid, tol)
+        sigma = _covariance(model, p, grid)
         sigma[np.diag_indices(grid.N)] += _JITTER * sigma.diagonal().max()
         try:
             self._F = np.linalg.cholesky(sigma)
@@ -516,20 +511,6 @@ class LimitLawSimulator:
         )
 
 
-@dataclass
-class LimitLawDraws:
-    """B simulated draws of the null law with full reproduction metadata."""
-
-    values: np.ndarray
-    family: str
-    r: float
-    p: float
-    q: WeightKind
-    grid: FieldGrid
-    base_seed: int
-    B: int
-
-
 def block_rng(base_seed: int, block: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one block of replicates."""
     return np.random.Generator(
@@ -543,15 +524,10 @@ _SIMULATOR_CACHE_BYTES = 128 * 2**20
 _SIMULATORS = ByteLRU(_SIMULATOR_CACHE_BYTES)
 
 
-def _cached_simulator(family: str, r: float, p: float, grid: FieldGrid, q: WeightKind, tol: float):
+def get_simulator(model: Model, p: float, grid: FieldGrid, q: WeightKind) -> LimitLawSimulator:
     # LimitLawSimulator is looked up at each build, so a wrapper set on the
     # module attribute sees every build.
-    return _SIMULATORS.get((family, r, p, grid, q, tol),
-                           lambda: LimitLawSimulator(make_model(family, r), p, grid, q, tol))
-
-
-def get_simulator(model: Model, p: float, grid: FieldGrid, q: WeightKind, tol: float = 1e-8) -> LimitLawSimulator:
-    return _cached_simulator(model.family, model.r, p, grid, q, tol)
+    return _SIMULATORS.get((model, p, grid, q), lambda: LimitLawSimulator(model, p, grid, q))
 
 
 # Replicates per block in simulate_L: one generator fills a block's normals
@@ -569,12 +545,12 @@ def simulate_L(
     B: int,
     base_seed: int,
     threads: int = 1,
-) -> LimitLawDraws:
-    """B independent draws.  Replicate b is row b % 64 of the normals that
-    ``block_rng(base_seed, b // 64)`` writes row by row, so its value depends
-    on neither B nor ``threads``.
+) -> np.ndarray:
+    """B independent draws of L, as an array.  Replicate b is row b % 64 of
+    the normals that ``block_rng(base_seed, b // 64)`` writes row by row, so
+    its value depends on neither B nor ``threads``.
 
-    ``threads`` is accepted for the callers' signatures and unused: the draws
+    ``threads`` is accepted and ignored, for callers that pass it: the draws
     are matrix products whose threading is the BLAS library's.
     """
     if B < 1:
@@ -587,15 +563,12 @@ def simulate_L(
         block_rng(base_seed, start // _CHUNK).standard_normal(out=eps[:n])
         eps[n:] = 0.0
         values[start:start + n] = (np.abs(eps @ sim._F.T) @ sim._q_cells)[:n]
-    return LimitLawDraws(
-        values=values, family=model.family, r=model.r, p=p, q=q,
-        grid=grid, base_seed=base_seed, B=B,
-    )
+    return values
 
 
-def quantile(draws: LimitLawDraws | np.ndarray, alpha: float) -> float:
+def quantile(draws: np.ndarray, alpha: float) -> float:
     """ceil(alpha * B)-th order statistic of the draws."""
-    values = draws.values if isinstance(draws, LimitLawDraws) else np.asarray(draws)
+    values = np.asarray(draws)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     b = values.size
@@ -603,9 +576,9 @@ def quantile(draws: LimitLawDraws | np.ndarray, alpha: float) -> float:
     return float(np.sort(values)[rank - 1])
 
 
-def p_value(draws: LimitLawDraws | np.ndarray, t: float) -> float:
+def p_value(draws: np.ndarray, t: float) -> float:
     """Exceedance proportion (1/B) #{b : L_b >= t}."""
-    values = draws.values if isinstance(draws, LimitLawDraws) else np.asarray(draws)
+    values = np.asarray(draws)
     return float(np.count_nonzero(values >= t)) / values.size
 
 
@@ -640,62 +613,40 @@ class CriticalValueTable:
         r_clamped = float(np.clip(r, self.r_grid[0], self.r_grid[-1]))
         return float(np.interp(r_clamped, self.r_grid, self.quantiles[:, col]))
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
+    def to_dict(self) -> dict:
+        """The table as the ``quantiles`` command reports it."""
+        return {
+            "family": self.family,
+            "p": self.p,
+            "q": self.q.value,
+            "grid": [self.grid.h, self.grid.M, self.grid.N],
+            "B": self.B,
+            "seed": self.seed,
+            "alphas": list(self.alphas),
+            "r_grid": self.r_grid.tolist(),
+            "quantiles": self.quantiles.tolist(),
+        }
 
-    def dumps(self) -> str:
-        out = io.StringIO()
-        out.write("# angular-gof critical-value table v1\n")
-        out.write(f"# family={self.family}\n")
-        out.write(f"# p={self.p:.12g}\n")
-        out.write(f"# grid_h={self.grid.h:.12g} grid_M={self.grid.M} grid_N={self.grid.N}\n")
-        out.write(f"# q={self.q.value}\n")
-        out.write(f"# B={self.B}\n")
-        out.write(f"# seed={self.seed}\n")
-        out.write("# columns: r " + " ".join(f"q{a:.12g}" for a in self.alphas) + "\n")
-        for i, r in enumerate(self.r_grid):
-            row = " ".join(f"{v:.12g}" for v in self.quantiles[i])
-            out.write(f"{r:.12g} {row}\n")
-        return out.getvalue()
+    def save(self, path) -> None:
+        """Write ``to_dict`` as the JSON text the ``quantiles`` command emits."""
+        import json  # here, so that ``import angular_gof`` does not load it
+
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "CriticalValueTable":
-        meta = {}
-        rows = []
-        alphas = None
+        """Read a table written by ``save`` or by ``quantiles --out``."""
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("columns:"):
-                        alphas = tuple(
-                            float(tok[1:]) for tok in body.split()[2:]
-                        )
-                    else:
-                        for tok in body.split():
-                            if "=" in tok:
-                                key, val = tok.split("=", 1)
-                                meta[key] = val
-                    continue
-                rows.append([float(tok) for tok in line.split()])
-        if alphas is None or not rows:
-            raise ValueError(f"malformed critical-value table {path}")
-        arr = np.asarray(rows)
-        grid = FieldGrid(h=float(meta["grid_h"]), M=int(meta["grid_M"]), N=int(meta["grid_N"]))
+            d = json.load(fh)
+        h, M, N = d["grid"]
         return cls(
-            family=meta["family"],
-            p=float(meta["p"]),
-            grid=grid,
-            q=WeightKind.from_name(meta["q"]),
-            r_grid=arr[:, 0],
-            alphas=alphas,
-            B=int(meta["B"]),
-            seed=int(meta["seed"]),
-            quantiles=arr[:, 1:],
+            family=d["family"], p=d["p"], grid=FieldGrid(h=h, M=M, N=N),
+            q=WeightKind.from_name(d["q"]), r_grid=np.asarray(d["r_grid"], dtype=float),
+            alphas=tuple(d["alphas"]), B=d["B"], seed=d["seed"],
+            quantiles=np.asarray(d["quantiles"], dtype=float),
         )
 
 
@@ -738,7 +689,6 @@ def critical_value_table(
     alphas,
     B: int,
     seed: int,
-    threads: int = 1,
 ) -> CriticalValueTable:
     """Simulate L on an r grid and tabulate the requested quantiles.
 
@@ -752,7 +702,7 @@ def critical_value_table(
     quants = np.empty((r_grid.size, len(alphas)))
     for i, r in enumerate(r_grid):
         model = make_model(family, float(r))
-        draws = simulate_L(model, p, grid, q, B, base_seed=seed * 1_000_003 + i, threads=threads)
+        draws = simulate_L(model, p, grid, q, B, base_seed=seed * 1_000_003 + i)
         for j, a in enumerate(alphas):
             quants[i, j] = _round_sig(quantile(draws, a))
     return CriticalValueTable(

@@ -35,7 +35,6 @@ __all__ = [
     "family_class",
     "make_model",
     "estimate_param",
-    "expansion_constants",
     "angular_density",
     "get_law",
     "AngularLaw",
@@ -362,11 +361,6 @@ def estimate_param(family: str, ell_hat_11: float) -> ParamEstimate:
     return ParamEstimate(cls.invert_ell11(ell_hat_11), False)
 
 
-def expansion_constants(model: Model):
-    """Constant g and Dirac location for the estimator expansion term I."""
-    return model.expansion_g(), (1.0, 1.0)
-
-
 def angular_density(model: Model, p: float, theta):
     """phi_{p,r}(theta) = ||(cos, sin)||_p / (cos sin) * lambda_r(cos, sin).
 
@@ -380,6 +374,9 @@ def angular_density(model: Model, p: float, theta):
     out = lp_norm(p, c, s) / (c * s) * model.exponent_density(c, s)
     return out[()] if np.ndim(out) == 0 else out
 
+
+# Absolute change of the half-arc totals at which panel doubling stops.
+_LAW_TOL = 1e-8
 
 # Gauss–Legendre nodes/weights on [0, 1], shared by all panel quadratures.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -509,13 +506,12 @@ class AngularLaw:
     Exposes the unnormalized CDF Phi, the probability CDF Q, the partial
     moments of f under Q, and the total mass.  Construction runs the panel
     quadrature with doubling refinement until the total-mass estimate is
-    stable to ``tol`` (absolute).
+    stable to ``_LAW_TOL`` (absolute).
     """
 
-    def __init__(self, model: Model, p: float, tol: float = 1e-8):
+    def __init__(self, model: Model, p: float):
         self.model = model
         self.p = p
-        self.tol = tol
         prev = None
         achieved = math.inf
         for n_panels in (256, 512, 1024, 2048, 4096):
@@ -526,7 +522,7 @@ class AngularLaw:
             )
             if prev is not None:
                 achieved = float(np.max(np.abs(totals - prev)))
-                if achieved < tol:
+                if achieved < _LAW_TOL:
                     break
             prev = totals
         else:
@@ -595,21 +591,17 @@ _LAW_CACHE_BYTES = 32 * 2**20
 _LAWS = ByteLRU(_LAW_CACHE_BYTES)
 
 
-def _cached_law(family: str, r: float, p: float, tol: float) -> AngularLaw:
-    return _LAWS.get((family, r, p, tol), lambda: AngularLaw(make_model(family, r), p, tol))
+def get_law(model: Model, p: float) -> AngularLaw:
+    """Shared per-(model, p) angular-law cache."""
+    return _LAWS.get((model, p), lambda: AngularLaw(model, p))
 
 
-def get_law(model: Model, p: float, tol: float = 1e-8) -> AngularLaw:
-    """Shared per-(family, r, p) angular-law cache."""
-    return _cached_law(model.family, model.r, p, tol)
-
-
-def grad_normalized_cdf(model: Model, p: float, theta, tol: float = 1e-8):
+def grad_normalized_cdf(model: Model, p: float, theta):
     """d/dr of Q_{p,r}(theta) by central finite differences, with both steps
     kept inside the family's open parameter range ``param_bounds``."""
     r, eps = model.r, 1e-4 * max(1.0, abs(model.r))
     lo, hi = model.param_bounds
     r_lo, r_hi = max(r - eps, lo + 1e-12), min(r + eps, hi - 1e-12)
-    law_lo = _cached_law(model.family, r_lo, p, tol)
-    law_hi = _cached_law(model.family, r_hi, p, tol)
+    law_lo = get_law(make_model(model.family, r_lo), p)
+    law_hi = get_law(make_model(model.family, r_hi), p)
     return (law_hi.normalized_cdf(theta) - law_lo.normalized_cdf(theta)) / (r_hi - r_lo)

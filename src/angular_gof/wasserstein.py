@@ -9,7 +9,7 @@ Anderson-Bjorck variant) started from the residuals at the cell ends, which
 are already known, so a statistic usually needs 4 to 6 evaluations of G for
 all its crossings together.  Each piece is integrated with the 15-point
 Gauss-Kronrod rule and accepted when the embedded 7-point Gauss value agrees
-with it to ``tol`` relative to the piece or to the mean piece, whichever is
+with it to ``_TOL`` relative to the piece or to the mean piece, whichever is
 larger; the few pieces that fail (among them the end cells, where G has a
 power singularity) go on to 2, 4, ... Kronrod panels until two levels agree.
 Cells are mapped through u = sqrt(|theta - pi/4|) for the singular weight so
@@ -66,6 +66,8 @@ _WG_ON_XGK = np.zeros(8)
 _WG_ON_XGK[1::2] = _WG
 _GK_WEIGHTS = np.column_stack([_mirror(_WGK, 1.0), _mirror(_WG_ON_XGK, 1.0)]) / 2.0
 _ROOT_MAX_EVALS = 48  # enough to bisect a bracket of pi/2 below 6e-15
+# Relative agreement at which a piece's quadrature is accepted.
+_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -142,13 +144,13 @@ def _regula_falsi_crossings(G, c, lo, hi, f_lo, f_hi) -> np.ndarray:
     return root
 
 
-def _cell_integrals(G, c, lo, hi, owner, n_owners: int, singular: bool, tol: float) -> np.ndarray:
+def _cell_integrals(G, c, lo, hi, owner, n_owners: int, singular: bool) -> np.ndarray:
     """Per owner, the sum over its cells of int |c_i - G| (q) dtheta.
 
     ``owner[i]`` numbers the distance cell i belongs to, and ``G(x, rows)``
     evaluates G at ``x[i]`` for cell ``rows[i]``.  Every cell first gets one
     15-point Gauss-Kronrod panel, accepted when
-    |K15 - G7| <= tol * max(|K15|, mean cell of its owner).  A cell that
+    |K15 - G7| <= _TOL * max(|K15|, mean cell of its owner).  A cell that
     fails is split into 2, 4, ..., 32 panels until two levels agree to the
     same tolerance.  For the singular weight the cells arrive already
     transformed to the u = sqrt|theta - pi/4| variable; ``lo``/``hi`` are
@@ -184,7 +186,7 @@ def _cell_integrals(G, c, lo, hi, owner, n_owners: int, singular: bool, tol: flo
             err = np.abs(kg[:, 0, 0] - kg[:, 0, 1])  # K15 - G7
         else:
             err = np.abs(vals - prev[active])
-        done = err <= tol * np.maximum(np.abs(vals), scale[active])
+        done = err <= _TOL * np.maximum(np.abs(vals), scale[active])
         prev[active] = vals
         totals += np.bincount(owner[active[done]], vals[done], n_owners)
         active = active[~done]
@@ -205,7 +207,7 @@ def _by_group(evals, group, x) -> np.ndarray:
     return out
 
 
-def _distances(Fs, evals, group, q: WeightKind, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _distances(Fs, evals, group, q: WeightKind) -> tuple[np.ndarray, np.ndarray]:
     """``weighted_l1_distance`` of every (Fs[i], evals[group[i]]) in one pass;
     returns the values and the cell counts in the order of ``Fs``.
 
@@ -262,7 +264,7 @@ def _distances(Fs, evals, group, q: WeightKind, tol: float) -> tuple[np.ndarray,
         return _by_group(evals, cell_group[rows], x)
 
     if q is WeightKind.CONSTANT:
-        totals = _cell_integrals(G, c_all, a_all, b_all, owner, len(Fs), singular=False, tol=tol)
+        totals = _cell_integrals(G, c_all, a_all, b_all, owner, len(Fs), singular=False)
     else:
         # Transform each cell to the u = sqrt|theta - pi/4| variable.  Every
         # cell lies on one side of pi/4 because pi/4 is a partition cut.
@@ -270,11 +272,11 @@ def _distances(Fs, evals, group, q: WeightKind, tol: float) -> tuple[np.ndarray,
         u_lo = np.where(right, np.sqrt(np.maximum(a_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - a_all, 0.0)))
         u_hi = np.where(right, np.sqrt(np.maximum(b_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - b_all, 0.0)))
         # encode side in the sign of hi (see _cell_integrals)
-        totals = _cell_integrals(G, c_all, u_lo, u_hi, owner, len(Fs), singular=True, tol=tol)
+        totals = _cell_integrals(G, c_all, u_lo, u_hi, owner, len(Fs), singular=True)
     return totals, n_cells
 
 
-def weighted_l1_distance(F: StepCDF, G, q: WeightKind, tol: float = 1e-7) -> tuple[float, int]:
+def weighted_l1_distance(F: StepCDF, G, q: WeightKind) -> tuple[float, int]:
     """int_0^{pi/2} |F - G| q dtheta; returns (value, number of cells).
 
     F is a step CDF on [0, pi/2]; G is a vectorized nondecreasing CDF
@@ -282,19 +284,19 @@ def weighted_l1_distance(F: StepCDF, G, q: WeightKind, tol: float = 1e-7) -> tup
     F's value is split at the crossing, found by the safeguarded regula falsi
     of ``_regula_falsi_crossings`` (at most 48 calls of G for all crossings
     together; 4.9 on average for Hüsler-Reiss samples with k = 100).  Each
-    piece gets one 15-point Gauss-Kronrod panel; ``tol`` bounds its
+    piece gets one 15-point Gauss-Kronrod panel; ``_TOL`` = 1e-7 bounds its
     difference from the embedded 7-point Gauss value, or for the pieces that
     go on to 2, 4, ... panels the change between the last two levels,
     measured against the larger of the piece and the mean piece.  The summed
-    estimate is then at most about 2 * tol * value: a relative tolerance on
-    the total.  A piece whose value is below ``tol`` times the mean piece
+    estimate is then at most about 2 * _TOL * value: a relative tolerance on
+    the total.  A piece whose value is below ``_TOL`` times the mean piece
     stops after one panel.  Such a statistic evaluates G at about 3,000 points.
     """
-    totals, n_cells = _distances([F], [G], [0], q, tol)
+    totals, n_cells = _distances([F], [G], [0], q)
     return float(totals[0]), int(n_cells[0])
 
 
-def test_statistic(dataset, law, q: WeightKind, tol: float = 1e-7):
+def test_statistic(dataset, law, q: WeightKind):
     """T_n = sqrt(k) * weighted L1 distance between Q-tilde and the model Q.
 
     Given one dataset and its law, returns a ``TestStatistic``.  Given a
@@ -304,18 +306,18 @@ def test_statistic(dataset, law, q: WeightKind, tol: float = 1e-7):
     statistic equals its one-dataset value to rounding.
     """
     if isinstance(dataset, AngularDataset):
-        return test_statistic([dataset], [law], q, tol).statistics[0]
+        return test_statistic([dataset], [law], q).statistics[0]
     datasets, laws = list(dataset), list(law)
     if len(laws) != len(datasets):
         raise ValueError(f"{len(datasets)} datasets but {len(laws)} laws")
     if not datasets:
         return StatisticBatch(statistics=(), n_cells=0)
-    Fs = [empirical_angular_cdf(ds, reweighted=True) for ds in datasets]
+    Fs = [empirical_angular_cdf(ds) for ds in datasets]
     distinct = {id(one): one for one in laws}  # in order of first use
     index = {key: i for i, key in enumerate(distinct)}
     group = [index[id(one)] for one in laws]
     evals = [one.normalized_cdf for one in distinct.values()]
-    totals, n_cells = _distances(Fs, evals, group, q, tol)
+    totals, n_cells = _distances(Fs, evals, group, q)
     stats = tuple(
         TestStatistic(value=math.sqrt(ds.k) * float(total), k=ds.k, weight_kind=q, n_cells=int(n))
         for ds, total, n in zip(datasets, totals, n_cells)

@@ -25,11 +25,7 @@ import numpy as np
 from angular_gof import geometry
 from angular_gof import limitlaw as ll
 from angular_gof.geometry import PI_2
-from angular_gof.models import (
-    expansion_constants,
-    get_law,
-    grad_normalized_cdf,
-)
+from angular_gof.models import get_law, grad_normalized_cdf
 
 
 def full_cell_masses(model, grid) -> np.ndarray:
@@ -162,7 +158,7 @@ def alpha_ext(field: GaussianField, model, p: float) -> np.ndarray:
     theta = field.grid.theta_grid()
     out = [eval_W_on_Cptheta(field, p, t) + eval_Zp(field, model, p, t) for t in theta]
     out.append(eval_W_on_Cptheta(field, p, PI_2) + eval_Zp(field, model, p, PI_2))
-    g, (x0, y0) = expansion_constants(model)
+    g, x0, y0 = model.expansion_g(), 1.0, 1.0
     d1, d2 = model.stdf_partials(x0, y0)
     w1, w2 = eval_marginals(field, 1.0)
     out.append(g * (eval_W_on_A(field, x0, y0) - d1 * w1 - d2 * w2))
@@ -244,7 +240,7 @@ def dense_strip_tables(model, p: float, grid):
     m = grid.M - 1
     R = N + 2
     theta_ext = np.append(grid.theta_grid(), PI_2)
-    g, (x0, y0) = expansion_constants(model)
+    g, x0, y0 = model.expansion_g(), 1.0, 1.0
     d1, d2 = model.stdf_partials(x0, y0)
     i11 = int(ll.marg_index(x0, grid))
     j11 = int(ll.marg_index(y0, grid))
@@ -306,11 +302,11 @@ def dense_set_masses(masses, grid, p: float, i11: int, j11: int):
     return u, v, set_in_block[: N + 1]
 
 
-def dense_covariance(model, p: float, grid, tol: float = 1e-8) -> np.ndarray:
+def dense_covariance(model, p: float, grid) -> np.ndarray:
     """Covariance of X assembled from the dense (N + 2) x (M - 1) strip
     tables and the per-row histograms of ``dense_set_masses``."""
     N = grid.N
-    g, (x0, y0) = expansion_constants(model)
+    g, x0, y0 = model.expansion_g(), 1.0, 1.0
     i11 = int(ll.marg_index(x0, grid))
     j11 = int(ll.marg_index(y0, grid))
     a, b = dense_strip_tables(model, p, grid)
@@ -335,14 +331,14 @@ def dense_covariance(model, p: float, grid, tol: float = 1e-8) -> np.ndarray:
     sigma[N + 1, : N + 1] -= g * set_in_block
     sigma[N + 1, N + 1] += g * g * block_mass
 
-    law = get_law(model, p, tol)
+    law = get_law(model, p)
     theta = grid.theta_grid()
     args = (
         law.normalized_cdf(theta),
         law.f_integral(theta),
         (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
         law.total_mass,
-        grad_normalized_cdf(model, p, theta, tol),
+        grad_normalized_cdf(model, p, theta),
     )
     dense_to_X(dense_to_X(sigma, *args).T, *args)
     return sigma[:N, :N]

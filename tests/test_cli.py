@@ -80,6 +80,18 @@ class TestCommands:
         table = CriticalValueTable.load(cache)
         assert table.quantiles.tolist() == payload["quantiles"]
 
+    def test_quantiles_cache_is_the_report(self, tmp_path):
+        out, cache = tmp_path / "report.json", tmp_path / "cv.json"
+        rc = cli.main([
+            "quantiles", "--family", "hr", "--r-grid", "0.8,1.2", "--alpha", "0.9,0.95",
+            "--B", "40", "--seed", "3", "--out", str(out), "--cache", str(cache),
+        ])
+        assert rc == 0
+        assert cache.read_bytes() == out.read_bytes()
+        from angular_gof.limitlaw import CriticalValueTable
+
+        assert CriticalValueTable.load(cache).to_dict() == json.loads(out.read_text())
+
     def test_power_command(self, capsys):
         rc = cli.main([
             "power", "--scenario", "1", "--lambdas", "0.8", "--n", "400",
@@ -153,6 +165,15 @@ class TestCommands:
         assert entry["status"] == "error"
         assert entry["message"] == reason
 
+    def test_pairs_needs_two_columns(self, tmp_path, capsys):
+        path = tmp_path / "one_column.csv"
+        np.savetxt(path, np.random.default_rng(9).uniform(size=(200, 1)), delimiter=",")
+        rc = cli.main(["pairs", str(path), "--B", "20"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["message"].endswith("pairs needs at least two columns, got 1")
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_test_needs_two_columns(self, tmp_path, capsys, width):
         path = tmp_path / "wide.csv"
@@ -185,8 +206,9 @@ class TestCommands:
          (["--B", "0"], "B must be >= 1, got 0"),
          (["--alpha", "1"], "alpha must lie in (0, 1), got 1"),
          (["--p", "inf"], "p = inf is not supported by the limit-law simulator"),
-         (["--p", "0.5"], "p must be >= 1, got 0.5")],
-        ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half"],
+         (["--p", "0.5"], "p must be >= 1, got 0.5"),
+         (["--seed", "-1"], "--seed must be at least 0, got -1")],
+        ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half", "seed-negative"],
     )
     def test_quantiles_inputs_checked_before_any_build(self, monkeypatch, capsys, args, reason):
         from angular_gof import limitlaw
@@ -218,11 +240,15 @@ class TestCommands:
          (["power", "--reps", "0"], "--reps must be at least 1, got 0"),
          (["power", "--lambdas", "0,1.5"], "--lambdas values must lie in [0, 1], got 1.5"),
          (["power", "--lambdas", "-0.1"], "--lambdas values must lie in [0, 1], got -0.1"),
-         (["power", "--lambdas", ","], "--lambdas is empty")],
+         (["power", "--lambdas", ","], "--lambdas is empty"),
+         (["test", "{csv}", "--seed", "-1"], "--seed must be at least 0, got -1"),
+         (["power", "--seed", "-1"], "--seed must be at least 0, got -1"),
+         (["pairs", "{csv}", "--seed", "-1"], "--seed must be at least 0, got -1")],
         ids=["test-B0", "test-p-inf", "test-alpha", "power-B0", "power-alpha1", "power-p-inf",
              "pairs-B0", "pairs-p-inf", "pairs-alpha", "test-p-half", "power-p-half",
              "pairs-p-half", "power-reps0", "power-lambda-above", "power-lambda-below",
-             "power-lambdas-empty"],
+             "power-lambdas-empty", "test-seed-negative", "power-seed-negative",
+             "pairs-seed-negative"],
     )
     def test_draw_inputs_checked_before_any_work(self, monkeypatch, pair_csv, capsys,
                                                  argv, reason):

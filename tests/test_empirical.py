@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from angular_gof import empirical as emp
 from angular_gof import geometry as g
 
+import empirical_oracle as eo
+
 PI_4 = math.pi / 4.0
 PI_2 = math.pi / 2.0
 
@@ -50,7 +52,7 @@ class TestRanks:
 
     def test_count_ties(self):
         sample = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
-        assert emp.count_ties(sample) == 1
+        assert eo.count_ties(sample) == 1
 
     @pytest.mark.parametrize("kind", ["continuous", "rounded", "constant"])
     def test_stable_sort_ranks_and_ties(self, kind):
@@ -66,7 +68,7 @@ class TestRanks:
             ref = np.empty(500, dtype=np.int64)
             ref[np.argsort(x[:, j], kind="stable")] = np.arange(1, 501)
             assert ranks[:, j].tobytes() == ref.tobytes()
-        n_ties = emp.count_ties(x)
+        n_ties = eo.count_ties(x)
         assert (n_ties > 0) == (kind != "continuous")
         assert emp.select_exceedances(x, 20, 2.0).n_ties == n_ties
         assert emp.angular_dataset(x, 20, 2.0).n_ties == n_ties
@@ -220,10 +222,10 @@ class TestPipeline:
     def test_matches_separate_estimators(self, p):
         # sharing the ranks changes no bit of the exceedances or of ell_hat
         x = np.round(_rng(11).normal(size=(600, 2)), 1)  # with ties
-        ds = emp.angular_dataset(x, 30, p, reweight=False)
+        ds = emp.angular_dataset(x, 30, p)
         ref = emp.select_exceedances(x, 30, p)
         assert ds.angles.tobytes() == ref.angles.tobytes()
-        assert ds.weights.tobytes() == ref.weights.tobytes()
+        assert ds.weights.tobytes() == emp.euclidean_weights(ref.angles, p).tobytes()
         assert (ds.K, ds.n_ties, ds.degenerate) == (ref.K, ref.n_ties, ref.degenerate)
         assert ds.ell_hat_11 == emp.empirical_stdf(x, 30, 1.0, 1.0)
 
@@ -248,9 +250,9 @@ class TestPipeline:
         # the running sum of the weights ends up to a few ulp off 1 on most
         # of these samples (seeds 3-6, 8, 9); the CDF must not
         for seed in range(10):
-            ds = emp.angular_dataset(_rng(seed).normal(size=(300, 2)), 17, 2.0)
-            for reweighted in (True, False):
-                assert emp.empirical_angular_cdf(ds, reweighted).cumulative[-1] == 1.0
+            x = _rng(seed).normal(size=(300, 2))
+            for ds in (emp.angular_dataset(x, 17, 2.0), emp.select_exceedances(x, 17, 2.0)):
+                assert emp.empirical_angular_cdf(ds).cumulative[-1] == 1.0
 
     def test_cdf_merges_coincident_angles(self):
         ds = emp.AngularDataset(

@@ -134,7 +134,7 @@ class TestSingleTest:
     def test_deterministic(self):
         data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
         a = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
-        b = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY, threads=3)
+        b = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
         assert a.to_dict() == b.to_dict()
 
     def test_report_metadata(self):
@@ -178,6 +178,11 @@ class TestCorrections:
     def test_bh_none_rejected(self):
         out = ex.benjamini_hochberg(np.array([0.5, 0.8]), 0.05)
         assert not out.any()
+
+    def test_no_pvalues(self):
+        for out in (ex.bonferroni([], 0.05), ex.benjamini_hochberg([], 0.05),
+                    ex.benjamini_hochberg([], 0.05, dependent=True)):
+            assert out.dtype == bool and out.size == 0
 
 
 class TestPowerStudy:
@@ -246,6 +251,12 @@ class TestPairwise:
         table = np.array([[1.0, 2.0], [2.0, 1.0]])
         report = ex.run_pairwise_analysis(table, [(0, 1)], B=10, seed=0, grid=TINY)
         assert report.pairs[0].report.status == "error"
+
+    def test_no_pairs(self):
+        report = ex.run_pairwise_analysis(np.ones((10, 1)), [], B=10, seed=0, grid=TINY)
+        assert report.pairs == []
+        for out in (report.bonferroni_reject, report.bh_reject, report.bh_dependent_reject):
+            assert out.size == 0
 
     def test_each_pair_ranked_once(self, monkeypatch):
         calls = []

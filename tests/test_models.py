@@ -295,10 +295,9 @@ class TestEstimator:
 
     def test_expansion_constants(self):
         # [DERIVED] closed forms: g = 1/(2^r ln 2) and 1/(2 phi(r))
-        gval, loc = md.expansion_constants(md.LogisticModel(0.5))
-        assert loc == (1.0, 1.0)
+        gval = md.LogisticModel(0.5).expansion_g()
         assert gval == pytest.approx(1.0 / (2.0 ** 0.5 * math.log(2.0)), rel=1e-14)
-        gval, _ = md.expansion_constants(md.HuslerReissModel(1.0))
+        gval = md.HuslerReissModel(1.0).expansion_g()
         assert gval == pytest.approx(1.0 / (2.0 * norm.pdf(1.0)), rel=1e-14)
 
     def test_unknown_family(self):
@@ -508,7 +507,7 @@ class TestByteLRU:
 
     def test_law_cache_counts_table_bytes(self):
         law = md.get_law(md.make_model("logistic", 0.5), 2.0)
-        assert md._LAWS.get(("logistic", 0.5, 2.0, 1e-8), lambda: None) is law
+        assert md._LAWS.get((md.LogisticModel(0.5), 2.0), lambda: None) is law
         n = law._cdf_table.shape[1]
         assert md._LAWS.nbytes >= 2 * 7 * n * 8
         assert md._LAWS.nbytes <= md._LAW_CACHE_BYTES

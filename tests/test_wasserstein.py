@@ -142,7 +142,7 @@ class TestTestStatistic:
 
         ds_raw = select_exceedances(bad, k, 2.0)
         v_bad, _ = ws.weighted_l1_distance(
-            empirical_angular_cdf(ds_raw, reweighted=False),
+            empirical_angular_cdf(ds_raw),
             law.normalized_cdf, WeightKind.INV_SQRT_PI4,
         )
         assert s_good.value < math.sqrt(k) * v_bad
