@@ -155,19 +155,6 @@ def sample(spec: CopulaSpec, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if spec.kind == "mixture":
-        lam = spec.params[0]
-        base, alt = spec.components
-        take_alt = rng.uniform(size=n) < lam
-        out = np.empty((n, 2))
-        n_base = int(np.count_nonzero(~take_alt))
-        n_alt = n - n_base
-        # Component draws happen in a fixed order for reproducibility.
-        if n_base:
-            out[~take_alt] = _dispatch_sample(base, n_base, rng)
-        if n_alt:
-            out[take_alt] = _dispatch_sample(alt, n_alt, rng)
-        return out
     return _dispatch_sample(spec, n, rng)
 
 
@@ -186,5 +173,16 @@ def _dispatch_sample(spec: CopulaSpec, n: int, rng: np.random.Generator) -> np.n
         x2 = np.maximum(a21 * z[:, 0], a22 * z[:, 1])
         return np.column_stack([np.exp(-1.0 / x1), np.exp(-1.0 / x2)])
     if spec.kind == "mixture":
-        return sample(spec, n, rng)
+        lam = spec.params[0]
+        base, alt = spec.components
+        take_alt = rng.uniform(size=n) < lam
+        out = np.empty((n, 2))
+        n_base = int(np.count_nonzero(~take_alt))
+        n_alt = n - n_base
+        # Component draws happen in a fixed order for reproducibility.
+        if n_base:
+            out[~take_alt] = _dispatch_sample(base, n_base, rng)
+        if n_alt:
+            out[take_alt] = _dispatch_sample(alt, n_alt, rng)
+        return out
     raise ValueError(f"no sampler for kind {spec.kind!r}")

@@ -40,11 +40,14 @@ sets C_{p,theta}, and from one rank-3 update per side for the map to X, and
 keeps the lower Cholesky factor F of Sigma + delta I, delta = 1e-11 max
 diag(Sigma) (Sigma is positive semidefinite and nearly singular, so the
 jitter makes the factorization succeed; Rasmussen & Williams 2006, Gaussian
-Processes for Machine Learning, App. A.2).  A draw is X = F eps with
-eps ~ N(0, I_N).  ``simulate_L`` draws replicates in blocks of 64: block j
-fills its 64 x N matrix of eps row by row from one generator keyed by
-(base_seed, j), and replicate b is row b % 64 of block b // 64, so its value
-depends on neither B nor the thread count.
+Processes for Machine Learning, App. A.2).  The cell masses are symmetric
+bit for bit, so one pass of row prefix sums gives the set masses per row
+and per column.  q has no part in Sigma, so one factor per (model, p,
+grid) serves both weights.  A draw is X = F eps with eps ~ N(0, I_N).
+``simulate_L`` draws replicates in blocks of 64: block j fills its 64 x N
+matrix of eps row by row from one generator keyed by (base_seed, j), and
+replicate b is row b % 64 of block b // 64, so its value depends on
+neither B nor the thread count.
 """
 
 from __future__ import annotations
@@ -98,10 +101,6 @@ class FieldGrid:
     def __post_init__(self):
         if self.h <= 0 or self.M < 3 or self.N < 2:
             raise ValueError("invalid grid specification")
-
-    @property
-    def coverage(self) -> float:
-        return self.h * (self.M - 1)
 
     def theta_grid(self) -> np.ndarray:
         """Midpoints theta_i = (i - 1/2) * pi / (2N), i = 1..N."""
@@ -176,9 +175,9 @@ def _c_bounds(grid: FieldGrid, p: float, theta: float) -> np.ndarray:
     return np.minimum(jcap, jtan)
 
 
-# Rows per block of the strip tables, and rows or columns per block of the
-# set masses, in _covariance.  A block of strip rows is stored, and multiplied, only up
-# to the widest column support among its rows.
+# Rows per block of the strip tables, and of the set masses (with the
+# same-numbered columns), in _covariance.  A block of strip rows is stored,
+# and multiplied, only up to the widest column support among its rows.
 _ROW_BLOCK = 64
 
 
@@ -299,20 +298,22 @@ def _strip_tables(model: Model, p: float, grid: FieldGrid) -> _StripTables:
     return _StripTables(a_pi=a_pi, sa=sa, sb=sb, blocks=blocks)
 
 
-def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int, j11: int):
+def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int):
     """Mass of each set S_r in each row and each column of the grid.
 
     S_r is C_{p,theta_r} for r < N, C_{p,pi/2} for r = N, and for r = N + 1
-    the block i < i11, j < j11.  By ``_c_bounds`` row i of C_{p,theta_r}
-    holds the columns j < e_ir = min(floor(i tan theta_r) + 1, bound_i), with
-    bound the pi/2 bounds, so u[i, r] is a prefix sum of row i at e_ir.
-    bound does not increase with i (y_p decreases) and floor(i tan theta_r)
-    does not decrease, so column j of C_{p,theta_r} holds the rows
-    lo_jr <= i < hi_j, and v[j, r] is a difference of two prefix sums of
-    column j.  The sets are staircases too: in a block of rows that lies
-    beyond the chord of theta_r, e_ir = bound_i and u[i, r] = u[i, N], and
-    in a block of columns above the set, v[j, r] = 0; only the rest is
-    gathered, and prefix sums run only as far as the block's bound.
+    the block i, j < i11.  By ``_c_bounds`` row i of C_{p,theta_r} holds the
+    columns j < e_ir = min(floor(i tan theta_r) + 1, bound_i), with bound the
+    pi/2 bounds, so u[i, r] is a prefix sum of row i at e_ir.  bound does
+    not increase with i (y_p decreases) and floor(i tan theta_r) does not
+    decrease, so column j of C_{p,theta_r} holds the rows lo_jr <= i < hi_j,
+    and v[j, r] is a difference of two prefix sums of column j.
+    The pass relies on ``cell_masses`` being symmetric bit for bit: column
+    j's prefix sums are row j's, so one pass over blocks of rows takes u for
+    the block's rows and v for the same-numbered columns from one cumsum, run
+    to the larger of the block's bound and hi.  The sets are staircases too:
+    in a block of rows beyond the chord of theta_r, u[i, r] = u[i, N], and in
+    a block of columns above the set, v[j, r] = 0; only the rest is gathered.
     Returns u and v of shape (M-1, N+2) and in_block[r], the mass of S_r
     inside the I block, for r <= N.
     """
@@ -320,6 +321,10 @@ def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int, j11: in
     m = grid.M - 1
     tan = np.array([math.tan(t) for t in grid.theta_grid()])
     bound = _c_bounds(grid, p, PI_2)
+    # hi[j] = #{i : bound_i > j}; lo[j, r] = #{i : floor(i tan theta_r) < j},
+    # from ceil(j / tan theta_r) corrected by one step either way where the
+    # rounded product floor(i tan theta_r) decides otherwise.
+    hi = np.searchsorted(-bound, -np.arange(m))
     u = np.empty((m, N + 2))
     v = np.zeros((m, N + 2))
     prefix = np.zeros((_ROW_BLOCK, m + 1))
@@ -328,7 +333,7 @@ def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int, j11: in
     for i0 in range(0, m, _ROW_BLOCK):
         i1 = min(i0 + _ROW_BLOCK, m)
         rows = np.arange(i1 - i0)
-        width = bound[i0:i1].max()
+        width = max(bound[i0], hi[i0])
         np.cumsum(masses[i0:i1, :width], axis=1, out=prefix[: i1 - i0, 1 : width + 1])
         u[i0:i1, N] = prefix[rows, bound[i0:i1]]
         # Angles whose chord reaches past row i0; the rest give e_ir = bound_i.
@@ -338,39 +343,30 @@ def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int, j11: in
         u[i0:i1, :r1] = flat[ends.astype(np.int64) + offsets[rows]]
         u[i0:i1, r1:N] = u[i0:i1, N:N + 1]
 
-    # hi[j] = #{i : bound_i > j}; lo[j, r] = #{i : floor(i tan theta_r) < j},
-    # from ceil(j / tan theta_r) corrected by one step either way where the
-    # rounded product floor(i tan theta_r) decides otherwise.
-    hi = np.searchsorted(-bound, -np.arange(m))
-    for j0 in range(0, m, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, m)
-        cols = np.arange(j1 - j0)
-        height = hi[j0:j1].max()
-        np.cumsum(masses[:height, j0:j1].T, axis=1, out=prefix[: j1 - j0, 1 : height + 1])
-        top = prefix[cols, hi[j0:j1]]
-        v[j0:j1, N] = top
-        # Angles whose set reaches column j0 below row hi[j0]; the rest hold
+        top = prefix[rows, hi[i0:i1]]
+        v[i0:i1, N] = top
+        # Angles whose set reaches column i0 below row hi[i0]; the rest hold
         # no cell of the block's columns.
-        reach = np.flatnonzero(np.floor((hi[j0] - 1) * tan) >= j0)
+        reach = np.flatnonzero(np.floor((hi[i0] - 1) * tan) >= i0)
         r0 = int(reach[0]) if reach.size else N
-        j = np.arange(j0, j1, dtype=float)[:, None]
+        j = np.arange(i0, i1, dtype=float)[:, None]
         lo = np.minimum(np.ceil(j / tan[r0:]), m)
         lo -= np.floor((lo - 1.0) * tan[r0:]) >= j
         lo += np.floor(lo * tan[r0:]) < j
-        np.minimum(lo, hi[j0:j1, None], out=lo)
-        v[j0:j1, r0:N] = top[:, None] - flat[lo.astype(np.int64) + offsets[cols]]
+        np.minimum(lo, hi[i0:i1, None], out=lo)
+        v[i0:i1, r0:N] = top[:, None] - flat[lo.astype(np.int64) + offsets[rows]]
 
     # The I block and the sets' mass inside it.
-    block = masses[:i11, :j11]
+    block = masses[:i11, :i11]
     u[:, N + 1] = 0.0
     u[:i11, N + 1] = block.sum(axis=1)
-    v[:j11, N + 1] = block.sum(axis=0)
-    pre = np.zeros((i11, j11 + 1))
+    v[:i11, N + 1] = block.sum(axis=0)
+    pre = np.zeros((i11, i11 + 1))
     np.cumsum(block, axis=1, out=pre[:, 1:])
     ends = np.empty((i11, N + 1))
     ends[:, :N] = np.floor(np.arange(i11)[:, None] * tan) + 1
-    ends[:, N] = j11
-    np.minimum(ends, np.minimum(bound[:i11], j11)[:, None], out=ends)
+    ends[:, N] = i11
+    np.minimum(ends, np.minimum(bound[:i11], i11)[:, None], out=ends)
     in_block = np.take_along_axis(pre, ends.astype(np.int64), axis=1).sum(axis=0)
     return u, v, in_block
 
@@ -424,17 +420,17 @@ def _covariance(model: Model, p: float, grid: FieldGrid) -> np.ndarray:
     N = grid.N
     R = N + 2
     g = model.expansion_g()
-    i11 = j11 = int(marg_index(1.0, grid))
+    i11 = int(marg_index(1.0, grid))
     tables = _strip_tables(model, p, grid)
 
     masses = cell_masses(model, grid)
     row_of, col_of = overflow_masses(model, grid, masses)
     row_tot = masses.sum(axis=1) + row_of
     col_tot = masses.sum(axis=0) + col_of
-    u, v, set_in_block = _set_masses(masses, grid, p, i11, j11)
+    u, v, set_in_block = _set_masses(masses, grid, p, i11)
     u[:, N + 1] *= -g
     v[:, N + 1] *= -g
-    block_mass = float(masses[:i11, :j11].sum())
+    block_mass = float(masses[:i11, :i11].sum())
     set_mass = u[:, : N + 1].sum(axis=0)
 
     for k0, A, B in tables.blocks:
@@ -489,11 +485,10 @@ class LimitLawSimulator:
     -delta) raises ``numpy.linalg.LinAlgError``.
     """
 
-    def __init__(self, model: Model, p: float, grid: FieldGrid, q: WeightKind):
+    def __init__(self, model: Model, p: float, grid: FieldGrid):
         self.model = model
         self.p = p
         self.grid = grid
-        self.q = q
         sigma = _covariance(model, p, grid)
         sigma[np.diag_indices(grid.N)] += _JITTER * sigma.diagonal().max()
         try:
@@ -504,11 +499,6 @@ class LimitLawSimulator:
                 f"r={model.r:.12g}, p={p:.12g}, grid h={grid.h:.12g} M={grid.M} "
                 f"N={grid.N}: {exc}"
             ) from exc
-        # Exact per-cell integrals of the weight function.
-        edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
-        self._q_cells = np.asarray(
-            geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float
-        )
 
 
 def block_rng(base_seed: int, block: int) -> np.random.Generator:
@@ -524,10 +514,10 @@ _SIMULATOR_CACHE_BYTES = 128 * 2**20
 _SIMULATORS = ByteLRU(_SIMULATOR_CACHE_BYTES)
 
 
-def get_simulator(model: Model, p: float, grid: FieldGrid, q: WeightKind) -> LimitLawSimulator:
+def get_simulator(model: Model, p: float, grid: FieldGrid) -> LimitLawSimulator:
     # LimitLawSimulator is looked up at each build, so a wrapper set on the
     # module attribute sees every build.
-    return _SIMULATORS.get((model, p, grid, q), lambda: LimitLawSimulator(model, p, grid, q))
+    return _SIMULATORS.get((model, p, grid), lambda: LimitLawSimulator(model, p, grid))
 
 
 # Replicates per block in simulate_L: one generator fills a block's normals
@@ -546,23 +536,29 @@ def simulate_L(
     base_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """B independent draws of L, as an array.  Replicate b is row b % 64 of
-    the normals that ``block_rng(base_seed, b // 64)`` writes row by row, so
-    its value depends on neither B nor ``threads``.
+    """B independent draws of L under the weight q, as an array.  Replicate
+    b is row b % 64 of the normals that ``block_rng(base_seed, b // 64)``
+    writes row by row, so its value depends on neither B nor ``threads``.
+    B < 1 and base_seed < 0 raise ValueError before any simulator is built.
 
     ``threads`` is accepted and ignored, for callers that pass it: the draws
     are matrix products whose threading is the BLAS library's.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    sim = get_simulator(model, p, grid, q)
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be at least 0, got {base_seed}")
+    sim = get_simulator(model, p, grid)
+    # Exact per-cell integrals of the weight function.
+    edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
+    q_cells = np.asarray(geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float)
     values = np.empty(B)
     eps = np.empty((_CHUNK, grid.N))
     for start in range(0, B, _CHUNK):
         n = min(_CHUNK, B - start)
         block_rng(base_seed, start // _CHUNK).standard_normal(out=eps[:n])
         eps[n:] = 0.0
-        values[start:start + n] = (np.abs(eps @ sim._F.T) @ sim._q_cells)[:n]
+        values[start:start + n] = (np.abs(eps @ sim._F.T) @ q_cells)[:n]
     return values
 
 
@@ -694,9 +690,12 @@ def critical_value_table(
 
     Replicate streams are keyed by (seed, r-index, b) so the table is
     deterministic and independent of scheduling.  The inputs are checked by
-    ``check_table_inputs`` before any simulator is built.
+    ``check_table_inputs``, and seed < 0 raises ValueError, before any
+    simulator is built.
     """
     check_table_inputs(family, p, r_grid, alphas, B)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     r_grid = np.asarray(sorted(float(r) for r in r_grid))
     alphas = tuple(float(a) for a in alphas)
     quants = np.empty((r_grid.size, len(alphas)))

@@ -152,15 +152,16 @@ def _cell_integrals(G, c, lo, hi, owner, n_owners: int, singular: bool) -> np.nd
     15-point Gauss-Kronrod panel, accepted when
     |K15 - G7| <= _TOL * max(|K15|, mean cell of its owner).  A cell that
     fails is split into 2, 4, ..., 32 panels until two levels agree to the
-    same tolerance.  For the singular weight the cells arrive already
-    transformed to the u = sqrt|theta - pi/4| variable; ``lo``/``hi`` are
-    u-bounds, the sign of ``hi`` gives the side of pi/4, and q dtheta = 2 du.
+    same tolerance.  For the singular weight each cell is mapped to the
+    u = sqrt|theta - pi/4| variable, where q dtheta = 2 du; every cell lies
+    on one side of pi/4, because pi/4 is a partition cut.
     """
     if singular:
-        # side = +1 for theta = pi/4 + u^2, -1 for theta = pi/4 - u^2
-        sides = np.where(hi > 0, 1.0, -1.0)
-        lo, hi = np.abs(lo), np.abs(hi)
-        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        # theta = pi/4 + side u^2, side = +1 right of pi/4 and -1 left of it
+        right = lo >= PI_4
+        sides = np.where(right, 1.0, -1.0)
+        d_lo, d_hi = np.abs(lo - PI_4), np.abs(hi - PI_4)
+        lo, hi = np.sqrt(np.where(right, d_lo, d_hi)), np.sqrt(np.where(right, d_hi, d_lo))
 
     totals = np.zeros(n_owners)
     active = np.arange(c.size)
@@ -263,16 +264,7 @@ def _distances(Fs, evals, group, q: WeightKind) -> tuple[np.ndarray, np.ndarray]
     def G(x, rows):
         return _by_group(evals, cell_group[rows], x)
 
-    if q is WeightKind.CONSTANT:
-        totals = _cell_integrals(G, c_all, a_all, b_all, owner, len(Fs), singular=False)
-    else:
-        # Transform each cell to the u = sqrt|theta - pi/4| variable.  Every
-        # cell lies on one side of pi/4 because pi/4 is a partition cut.
-        right = a_all >= PI_4
-        u_lo = np.where(right, np.sqrt(np.maximum(a_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - a_all, 0.0)))
-        u_hi = np.where(right, np.sqrt(np.maximum(b_all - PI_4, 0.0)), -np.sqrt(np.maximum(PI_4 - b_all, 0.0)))
-        # encode side in the sign of hi (see _cell_integrals)
-        totals = _cell_integrals(G, c_all, u_lo, u_hi, owner, len(Fs), singular=True)
+    totals = _cell_integrals(G, c_all, a_all, b_all, owner, len(Fs), q is not WeightKind.CONSTANT)
     return totals, n_cells
 
 

@@ -349,6 +349,13 @@ def draw_X(sim: ll.LimitLawSimulator, rng: np.random.Generator) -> np.ndarray:
     return sim._F @ rng.standard_normal(sim.grid.N)
 
 
-def draw(sim: ll.LimitLawSimulator, rng: np.random.Generator) -> float:
-    """One draw of L (Riemann sum with exact weight-cell integrals)."""
-    return float(np.abs(draw_X(sim, rng)) @ sim._q_cells)
+def q_cells(q, grid) -> np.ndarray:
+    """Exact integrals of the weight q over the N theta cells."""
+    edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
+    return np.asarray(geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float)
+
+
+def draw(sim: ll.LimitLawSimulator, q, rng: np.random.Generator) -> float:
+    """One draw of L under the weight q (Riemann sum with exact weight-cell
+    integrals)."""
+    return float(np.abs(draw_X(sim, rng)) @ q_cells(q, sim.grid))

@@ -7,6 +7,7 @@ import pytest
 
 from angular_gof import datagen as dg
 from angular_gof import experiments as ex
+from angular_gof import limitlaw as ll
 from angular_gof import wasserstein as ws
 from angular_gof.empirical import angular_dataset
 from angular_gof.geometry import WeightKind
@@ -136,6 +137,15 @@ class TestSingleTest:
         a = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
         b = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
         assert a.to_dict() == b.to_dict()
+
+    def test_negative_seed_rejected_before_any_build(self, monkeypatch):
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a simulator was built")
+
+        monkeypatch.setattr(ll, "get_simulator", no_build)
+        data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
+        with pytest.raises(ValueError, match=r"^base_seed must be at least 0, got -1$"):
+            ex.run_single_test(data, "hr", 28, B=100, seed=-1, grid=TINY)
 
     def test_report_metadata(self):
         data = dg.sample(dg.gumbel(2.0), 600, np.random.default_rng(4))

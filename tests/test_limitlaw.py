@@ -162,7 +162,7 @@ class TestFieldEvaluation:
         with pytest.raises(ll.UnsupportedFeatureError):
             lo.eval_W_on_Cptheta(field, math.inf, 0.5)
         with pytest.raises(ll.UnsupportedFeatureError):
-            ll.LimitLawSimulator(LogisticModel(0.5), math.inf, TINY, WeightKind.CONSTANT)
+            ll.LimitLawSimulator(LogisticModel(0.5), math.inf, TINY)
 
 
 class TestVarianceIdentities:
@@ -214,8 +214,7 @@ class TestVarianceIdentities:
 def _mean_L(model, p, grid, q):
     """E[L] = sqrt(2/pi) sum_k q_cells[k] sd(X(theta_k)), exact given Sigma."""
     sd = np.sqrt(np.diag(ll._covariance(model, p, grid)))
-    edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
-    return math.sqrt(2.0 / math.pi) * float(g.weight_q_cell_integral(q, edges[:-1], edges[1:]) @ sd)
+    return math.sqrt(2.0 / math.pi) * float(lo.q_cells(q, grid) @ sd)
 
 
 class TestSimulatorPipeline:
@@ -240,15 +239,36 @@ class TestSimulatorPipeline:
 
     def test_draw_is_weighted_abs_integral(self):
         model = HuslerReissModel(1.0)
-        sim = ll.LimitLawSimulator(model, 2.0, TINY, WeightKind.CONSTANT)
+        sim = ll.LimitLawSimulator(model, 2.0, TINY)
         x = lo.draw_X(sim, ll.block_rng(5, 0))
-        val = lo.draw(sim, ll.block_rng(5, 0))
+        val = lo.draw(sim, WeightKind.CONSTANT, ll.block_rng(5, 0))
         # constant weight: exact cell integrals are just dtheta
         assert val == pytest.approx(float(np.abs(x).sum() * PI_2 / TINY.N), rel=1e-12)
 
     def test_q_cells_sum_to_total_weight(self):
-        sim = ll.LimitLawSimulator(LogisticModel(0.5), 2.0, TINY, WeightKind.INV_SQRT_PI4)
-        assert sim._q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
+        q_cells = lo.q_cells(WeightKind.INV_SQRT_PI4, TINY)
+        assert q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
+
+    def test_one_factor_serves_both_weights(self, monkeypatch):
+        """Draws under both weights share one build, and each draw is
+        |F eps| summed against its own weight's cell integrals."""
+        built = []
+        real = ll.LimitLawSimulator
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(ll, "LimitLawSimulator", counting)
+        grid = ll.FieldGrid(h=0.1, M=22, N=19)  # a grid no other test uses
+        model = HuslerReissModel(0.8)
+        weights = (WeightKind.CONSTANT, WeightKind.INV_SQRT_PI4)
+        draws = [ll.simulate_L(model, 2.0, grid, q, 3, base_seed=4) for q in weights]
+        assert len(built) == 1
+        eps = ll.block_rng(4, 0).standard_normal((64, grid.N))[:3]
+        abs_x = np.abs(eps @ built[0]._F.T)
+        for q, got in zip(weights, draws):
+            np.testing.assert_allclose(got, abs_x @ lo.q_cells(q, grid), rtol=1e-12)
 
 
 def _staircase_rows(tables, R):
@@ -323,9 +343,9 @@ class TestStaircaseAssembly:
         """Prefix-sum gathers hold the same cells as the per-row kappa
         histograms: a cell counted on one side only would show as its mass."""
         masses = ll.cell_masses(model, grid)
-        i11 = j11 = int(ll.marg_index(1.0, grid))
-        got = ll._set_masses(masses, grid, p, i11, j11)
-        expect = lo.dense_set_masses(masses, grid, p, i11, j11)
+        i11 = int(ll.marg_index(1.0, grid))
+        got = ll._set_masses(masses, grid, p, i11)
+        expect = lo.dense_set_masses(masses, grid, p, i11, i11)
         for x, y in zip(got, expect):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-18)
 
@@ -357,14 +377,14 @@ class TestFactor:
     def _check(model, p, grid):
         sigma = ll._covariance(model, p, grid)
         delta = ll._JITTER * sigma.diagonal().max()
-        sim = ll.LimitLawSimulator(model, p, grid, WeightKind.INV_SQRT_PI4)
-        F = sim._F
+        F = ll.LimitLawSimulator(model, p, grid)._F
         assert F.flags.c_contiguous and F.shape == (grid.N, grid.N)
         assert np.max(np.abs(F @ F.T - sigma)) <= 2.0 * delta
         # E[L] = sqrt(2/pi) sum_k q_cells[k] sd(X(theta_k)); the row norms of F
         # are the standard deviations of the factored law.
-        mean_sigma = sim._q_cells @ np.sqrt(sigma.diagonal())
-        mean_F = sim._q_cells @ np.linalg.norm(F, axis=1)
+        q_cells = lo.q_cells(WeightKind.INV_SQRT_PI4, grid)
+        mean_sigma = q_cells @ np.sqrt(sigma.diagonal())
+        mean_F = q_cells @ np.linalg.norm(F, axis=1)
         assert mean_F == pytest.approx(mean_sigma, rel=1e-6)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -382,7 +402,7 @@ class TestFactor:
         sigma[3, 3] = -0.1
         monkeypatch.setattr(ll, "_covariance", lambda *args, **kwargs: sigma.copy())
         with pytest.raises(np.linalg.LinAlgError, match=r"hr r=1\.5, p=2, grid h=0\.1 M=22 N=16"):
-            ll.LimitLawSimulator(HuslerReissModel(1.5), 2.0, TINY, WeightKind.CONSTANT)
+            ll.LimitLawSimulator(HuslerReissModel(1.5), 2.0, TINY)
 
 
 class TestGridConvergence:
@@ -396,6 +416,10 @@ class TestGridConvergence:
             for h, M in ((0.1, 100), (0.05, 199), (0.025, 397))
         ]
         assert abs(means[1] - means[0]) >= 1.5 * abs(means[2] - means[1]), means
+
+
+def _no_build(*_args, **_kwargs):
+    raise AssertionError("a simulator was built")
 
 
 class TestDraws:
@@ -418,11 +442,17 @@ class TestDraws:
         # replicate b is row b % 64 of the normals block_rng(seed, b // 64) fills
         model = HuslerReissModel(1.0)
         draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
-        sim = ll.get_simulator(model, 2.0, TINY, WeightKind.CONSTANT)
+        sim = ll.get_simulator(model, 2.0, TINY)
+        q_cells = lo.q_cells(WeightKind.CONSTANT, TINY)
         for b in (0, 63, 64, 70, 129):
             eps = ll.block_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
-            expect = float(np.abs(sim._F @ eps) @ sim._q_cells)
+            expect = float(np.abs(sim._F @ eps) @ q_cells)
             assert draws[b] == pytest.approx(expect, rel=1e-12)
+
+    def test_negative_seed_rejected_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(ll, "get_simulator", _no_build)
+        with pytest.raises(ValueError, match=r"^base_seed must be at least 0, got -1$"):
+            ll.simulate_L(HuslerReissModel(1.0), 2.0, TINY, WeightKind.CONSTANT, 8, base_seed=-1)
 
     def test_seed_sensitivity(self):
         model = LogisticModel(0.5)
@@ -483,6 +513,11 @@ class TestCriticalValueTable:
         with pytest.raises(KeyError):
             table.interp(0.5, 0.99)
 
+    def test_negative_seed_rejected_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(ll, "get_simulator", _no_build)
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+            ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT, [1.0], (0.9,), 20, seed=-1)
+
     def test_quantiles_match_direct_simulation(self):
         table = self._table()
         draws = ll.simulate_L(
@@ -505,7 +540,7 @@ class TestSimulatorCache:
         monkeypatch.setattr(ll, "LimitLawSimulator", counting)
         grid = ll.FieldGrid(h=0.1, M=22, N=17)  # a grid no other test uses
         model = LogisticModel(0.45)
-        first = ll.get_simulator(model, 2.0, grid, WeightKind.CONSTANT)
-        again = ll.get_simulator(model, 2.0, grid, WeightKind.CONSTANT)
+        first = ll.get_simulator(model, 2.0, grid)
+        again = ll.get_simulator(model, 2.0, grid)
         assert first is again and built == [model]
         assert ll._SIMULATORS.nbytes <= ll._SIMULATOR_CACHE_BYTES
