@@ -27,7 +27,7 @@ from angular_gof.models import FAMILIES
 def build_table(n_pairs, n_bad, n, family, lam, seed):
     """Stack independent pairs column-wise; contaminated pairs come first."""
     dirty = dg.scenario_copula(2, lam, family)
-    clean = dirty.components[0]
+    clean = dirty.base
     cols, labels, pair_idx = [], [], []
     for j in range(n_pairs):
         spec = dirty if j < n_bad else clean

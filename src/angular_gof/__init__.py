@@ -43,7 +43,7 @@ from .limitlaw import (
     quantile,
     simulate_L,
 )
-from .datagen import CopulaSpec, sample, scenario_copula
+from .datagen import sample, scenario_copula
 from .experiments import (
     MultiTestReport,
     PowerCurve,
@@ -90,7 +90,6 @@ __all__ = [
     "p_value",
     "quantile",
     "simulate_L",
-    "CopulaSpec",
     "sample",
     "scenario_copula",
     "MultiTestReport",

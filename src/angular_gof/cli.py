@@ -29,7 +29,6 @@ from .limitlaw import (
     DESK_GRID,
     GRID_PRESETS,
     CriticalValueTable,
-    FieldGrid,
     UnsupportedFeatureError,
     check_draw_inputs,
     check_table_inputs,
@@ -103,10 +102,6 @@ def _input_error(message: str, out) -> int:
 
 def _k_range_error(k: int, n: int) -> str:
     return f"--k must satisfy 1 <= k < n, got k={k}, n={n}"
-
-
-def _grid_from_args(args) -> FieldGrid:
-    return GRID_PRESETS[args.grid]
 
 
 def _parse_floats(text: str) -> list:
@@ -206,8 +201,8 @@ def _cmd_test(args) -> int:
     if not 1 <= k < data.shape[0]:
         return _input_error(_k_range_error(k, data.shape[0]), args.out)
     report = run_single_test(
-        data, args.family, k, p=args.p, q=WeightKind.from_name(args.q),
-        B=args.B, seed=args.seed, grid=_grid_from_args(args),
+        data, args.family, k, p=args.p, q=WeightKind(args.q),
+        B=args.B, seed=args.seed, grid=GRID_PRESETS[args.grid],
         alphas=alphas,
     )
     _emit(report.to_dict(), args.out)
@@ -222,7 +217,7 @@ def _cmd_quantiles(args) -> int:
     except (ValueError, UnsupportedFeatureError) as exc:
         return _input_error(str(exc), args.out)
     table = critical_value_table(
-        args.family, args.p, _grid_from_args(args), WeightKind.from_name(args.q),
+        args.family, args.p, GRID_PRESETS[args.grid], WeightKind(args.q),
         r_grid, alphas, args.B, seed=args.seed,
     )
     if args.cache:
@@ -248,9 +243,9 @@ def _cmd_power(args) -> int:
         return _input_error(_k_range_error(args.k, args.n), args.out)
     config = ScenarioConfig(
         family=args.family, scenario=args.scenario, lambdas=lambdas,
-        n=args.n, k=args.k, p=args.p, q=WeightKind.from_name(args.q),
+        n=args.n, k=args.k, p=args.p, q=WeightKind(args.q),
         B=args.B, alpha=args.alpha, reps=args.reps, seed=args.seed,
-        grid=_grid_from_args(args),
+        grid=GRID_PRESETS[args.grid],
     )
     curve = run_power_study(config)
     payload = {
@@ -293,8 +288,8 @@ def _cmd_pairs(args) -> int:
     labels = [f"{names[i]}:{names[j]}" for i, j in pairs]
     report = run_pairwise_analysis(
         data, pairs, family=args.family, k=args.k, p=args.p,
-        q=WeightKind.from_name(args.q), B=args.B, alpha=args.alpha,
-        seed=args.seed, grid=_grid_from_args(args), labels=labels,
+        q=WeightKind(args.q), B=args.B, alpha=args.alpha,
+        seed=args.seed, grid=GRID_PRESETS[args.grid], labels=labels,
     )
     payload = {
         "alpha": report.alpha,

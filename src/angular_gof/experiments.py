@@ -232,11 +232,14 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
 
     Pass 1 computes (r_hat, T_n) per replicate; pass 2 tabulates the
     (1 - alpha) null quantile on a parameter grid covering the observed r_hat
-    range and interpolates the decisions.
+    range and interpolates the decisions.  A seed below 0 raises ValueError
+    before any data are drawn.
 
     ``threads`` is accepted and ignored, for callers that pass it: a thread
     pool over the replicates made the study slower, since they hold the GIL.
     """
+    if config.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {config.seed}")
     lambdas = np.asarray(config.lambdas, dtype=float)
     # (r_hat, T_n) per replicate, None where the fit failed; one batch per lambda.
     fits = []

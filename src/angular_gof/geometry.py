@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-INF = math.inf
-
 PI_4 = math.pi / 4.0
 PI_2 = math.pi / 2.0
 
@@ -121,13 +119,6 @@ class WeightKind(enum.Enum):
 
     CONSTANT = "const"
     INV_SQRT_PI4 = "invsqrt"
-
-    @classmethod
-    def from_name(cls, name: str) -> "WeightKind":
-        for kind in cls:
-            if kind.value == name or kind.name == name:
-                return kind
-        raise ValueError(f"unknown weight kind {name!r}")
 
 
 def weight_q_cell_integral(kind: WeightKind, a, b):

@@ -640,7 +640,7 @@ class CriticalValueTable:
         h, M, N = d["grid"]
         return cls(
             family=d["family"], p=d["p"], grid=FieldGrid(h=h, M=M, N=N),
-            q=WeightKind.from_name(d["q"]), r_grid=np.asarray(d["r_grid"], dtype=float),
+            q=WeightKind(d["q"]), r_grid=np.asarray(d["r_grid"], dtype=float),
             alphas=tuple(d["alphas"]), B=d["B"], seed=d["seed"],
             quantiles=np.asarray(d["quantiles"], dtype=float),
         )

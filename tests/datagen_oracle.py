@@ -1,15 +1,17 @@
 """Reference copula CDFs and two conditional-inversion samplers.
 
-``copula_cdf`` and ``conditional_cdf`` evaluate C(u, v) and dC/du(u, v) from
-the model's ``stdf`` and ``stdf_partials``.  The conditional-inversion
+``copula_cdf`` and ``conditional_cdf`` evaluate C(u, v) and dC/du(u, v) of a
+``datagen`` copula; for the family models, from ``stdf`` and
+``stdf_partials``.  The conditional-inversion
 samplers draw U and W uniform and solve dC/du(U, v) = W for v:
 ``sample_conditional`` by safeguarded Newton steps on the copula density from
 the one-pass ``stdf_terms``, ``sample_conditional_bisection`` by 60 halvings
 of [1e-15, 1 - 1e-15].  That interval is below 1e-18 wide at the end, finer
 than any float in (0, 1) can resolve, so the bisection result is the root up
 to the rounding of dC/du.  Both draw U and W in the same order.  The package
-samples these copulas exactly instead (``datagen``); the tests hold the
-inversion samplers to each other and the exact samplers to ``copula_cdf``.
+samples these copulas exactly instead (the models' ``sample``); the tests hold
+the inversion samplers to each other and the exact samplers to
+``copula_cdf``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,6 @@ import numpy as np
 
 from angular_gof import datagen as dg
 from angular_gof.models import HuslerReissModel, LogisticModel, _ndtr, _npdf
-
-
-def ev_model(spec: dg.CopulaSpec):
-    """The stdf model of a Gumbel or Hüsler–Reiss spec."""
-    if spec.kind == "gumbel":
-        return LogisticModel(1.0 / spec.params[0])
-    if spec.kind == "hr":
-        return HuslerReissModel(spec.params[0])
-    raise ValueError(f"{spec.kind} is not an extreme-value copula spec")
 
 
 def stdf_terms(model, x: np.ndarray, y: np.ndarray):
@@ -72,7 +65,7 @@ def conditional_terms(model, u, x, v):
     return c_over_u * dx, c_over_u / v * (dx * dy + lam)
 
 
-def sample_conditional(spec: dg.CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_conditional(model, n: int, rng: np.random.Generator) -> np.ndarray:
     """Conditional inversion: U, W uniform, solve dC/du(U, v) = W for v.
 
     Safeguarded Newton from v = W (the root under independence): each
@@ -84,7 +77,6 @@ def sample_conditional(spec: dg.CopulaSpec, n: int, rng: np.random.Generator) ->
     jump between two evaluated ends a few ulp apart.  60 evaluations is the
     cap.
     """
-    model = ev_model(spec)
     u = rng.uniform(size=n)
     w = rng.uniform(size=n)
     x = -np.log(u)
@@ -115,57 +107,54 @@ def sample_conditional(spec: dg.CopulaSpec, n: int, rng: np.random.Generator) ->
     return np.column_stack([u, v])
 
 
-def copula_cdf(spec: dg.CopulaSpec, u, v):
+def copula_cdf(copula, u, v):
     """C(u, v) on the open unit square (vectorized)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if spec.kind == "comonotone":
+    if isinstance(copula, dg.Comonotone):
         out = np.minimum(u, v)
-    elif spec.kind == "maxlinear":
-        a11, a12, a21, a22 = spec.params
+    elif isinstance(copula, dg.MaxLinear):
         x, y = -np.log(u), -np.log(v)
-        out = np.exp(-(np.maximum(a11 * x, a21 * y) + np.maximum(a12 * x, a22 * y)))
-    elif spec.kind == "mixture":
-        lam = spec.params[0]
-        base, alt = spec.components
-        out = (1.0 - lam) * copula_cdf(base, u, v) + lam * copula_cdf(alt, u, v)
+        out = np.exp(-(np.maximum(copula.a11 * x, copula.a21 * y)
+                       + np.maximum(copula.a12 * x, copula.a22 * y)))
+    elif isinstance(copula, dg.Mixture):
+        lam = copula.lam
+        out = (1.0 - lam) * copula_cdf(copula.base, u, v) + lam * copula_cdf(copula.alt, u, v)
     else:
-        model = ev_model(spec)
-        out = np.exp(-model.stdf(-np.log(u), -np.log(v)))
+        out = np.exp(-copula.stdf(-np.log(u), -np.log(v)))
     return out[()] if np.ndim(out) == 0 else out
 
 
-def conditional_cdf(spec: dg.CopulaSpec, u, v):
+def conditional_cdf(copula, u, v):
     """dC/du (u, v): a CDF in v.
 
-    Only differentiable-in-u kinds are supported (extreme-value copulas and
+    Only copulas differentiable in u are supported (the family models and
     their mixtures); the comonotone and max-linear copulas sample directly.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if spec.kind == "mixture":
-        lam = spec.params[0]
-        base, alt = spec.components
-        out = (1.0 - lam) * conditional_cdf(base, u, v) + lam * conditional_cdf(alt, u, v)
-    elif spec.kind in ("gumbel", "hr"):
-        model = ev_model(spec)
+    if isinstance(copula, dg.Mixture):
+        lam = copula.lam
+        out = ((1.0 - lam) * conditional_cdf(copula.base, u, v)
+               + lam * conditional_cdf(copula.alt, u, v))
+    elif isinstance(copula, (LogisticModel, HuslerReissModel)):
         x, y = -np.log(u), -np.log(v)
-        d1, _ = model.stdf_partials(x, y)
-        out = np.exp(-model.stdf(x, y)) * d1 / u
+        d1, _ = copula.stdf_partials(x, y)
+        out = np.exp(-copula.stdf(x, y)) * d1 / u
     else:
-        raise ValueError(f"conditional_cdf unsupported for kind {spec.kind!r}")
+        raise ValueError(f"conditional_cdf unsupported for {type(copula).__name__}")
     return out[()] if np.ndim(out) == 0 else out
 
 
-def sample_conditional_bisection(spec: dg.CopulaSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n pairs of the Gumbel or Hüsler–Reiss copula ``spec`` by bisection."""
+def sample_conditional_bisection(model, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n pairs of the copula of a family ``model`` by bisection."""
     u = rng.uniform(size=n)
     w = rng.uniform(size=n)
     lo = np.full(n, 1e-15)
     hi = np.full(n, 1.0 - 1e-15)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = conditional_cdf(spec, u, mid) < w
+        below = conditional_cdf(model, u, mid) < w
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return np.column_stack([u, 0.5 * (lo + hi)])

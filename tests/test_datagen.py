@@ -1,4 +1,4 @@
-"""Copula specs, CDFs, conditional CDFs, and samplers.
+"""Copulas, CDFs, conditional CDFs, and samplers.
 
 Oracles: finite differences of the copula CDF for the conditional CDF and
 of the conditional CDF for the copula density; the fixed-step bisection
@@ -15,44 +15,56 @@ import pytest
 from scipy.stats import kstest, norm
 
 from angular_gof import datagen as dg
+from angular_gof.models import HuslerReissModel, LogisticModel
 
 import datagen_oracle as do
+
+KINDS = {LogisticModel: "gumbel", HuslerReissModel: "hr", dg.Comonotone: "comonotone",
+         dg.MaxLinear: "maxlinear", dg.Mixture: "mixture"}
+
+
+def kind(copula):
+    """Test id: the kind of copula."""
+    return KINDS[type(copula)]
+
+
+def describe(model):
+    """Test id of a family model: 'gumbel(theta)' with theta = 1/r, or 'hr(r)'."""
+    param = 1.0 / model.r if isinstance(model, LogisticModel) else model.r
+    return f"{kind(model)}({param:g})"
 
 
 class TestSpecs:
     def test_gumbel_validation(self):
         with pytest.raises(ValueError):
             dg.gumbel(0.9)
-        assert dg.gumbel(2.0).params == (2.0,)
+        assert dg.gumbel(2.0) == LogisticModel(0.5)
 
     def test_maxlinear_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            dg.maxlinear(0.7, 0.2, 0.1, 0.9)
-        dg.maxlinear(0.7, 0.3, 0.1, 0.9)
+            dg.MaxLinear(0.7, 0.2, 0.1, 0.9)
+        dg.MaxLinear(0.7, 0.3, 0.1, 0.9)
 
     def test_mixture_weight_range(self):
-        base, alt = dg.gumbel(2.0), dg.comonotone()
+        base, alt = dg.gumbel(2.0), dg.Comonotone()
         with pytest.raises(ValueError):
-            dg.mixture(1.5, base, alt)
+            dg.Mixture(1.5, base, alt)
 
     def test_scenarios(self):
         s1 = dg.scenario_copula(1, 0.3, "logistic")
-        assert s1.kind == "mixture"
-        assert s1.components[0].kind == "gumbel"
-        assert s1.components[1].kind == "comonotone"
+        assert isinstance(s1, dg.Mixture) and s1.lam == 0.3
+        assert isinstance(s1.base, LogisticModel)
+        assert isinstance(s1.alt, dg.Comonotone)
         s2 = dg.scenario_copula(2, 0.3, "hr")
-        assert s2.components[0].kind == "hr"
-        assert s2.components[1].kind == "maxlinear"
+        assert isinstance(s2.base, HuslerReissModel)
+        assert s2.alt == dg.MaxLinear(0.7, 0.3, 0.1, 0.9)
         with pytest.raises(ValueError):
             dg.scenario_copula(3, 0.1)
 
-    def test_describe(self):
-        assert "gumbel" in dg.scenario_copula(1, 0.5).describe()
-
     def test_scenario_bases(self):
         # the power-study bases: Gumbel(2) (logistic r0 = 0.5) and HR(1)
-        assert dg.scenario_copula(2, 0.3, "logistic").components[0] == dg.gumbel(2.0)
-        assert dg.scenario_copula(1, 0.3, "hr").components[0] == dg.husler_reiss(1.0)
+        assert dg.scenario_copula(2, 0.3, "logistic").base == dg.gumbel(2.0)
+        assert dg.scenario_copula(1, 0.3, "hr").base == dg.husler_reiss(1.0)
 
     def test_scenario_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family 'gauss'"):
@@ -63,12 +75,12 @@ class TestCopulaCdf:
     SPECS = [
         dg.gumbel(2.0),
         dg.husler_reiss(1.0),
-        dg.comonotone(),
-        dg.maxlinear(0.7, 0.3, 0.1, 0.9),
-        dg.mixture(0.4, dg.gumbel(3.0), dg.maxlinear(0.5, 0.5, 0.2, 0.8)),
+        dg.Comonotone(),
+        dg.MaxLinear(0.7, 0.3, 0.1, 0.9),
+        dg.Mixture(0.4, dg.gumbel(3.0), dg.MaxLinear(0.5, 0.5, 0.2, 0.8)),
     ]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=kind)
     def test_copula_axioms(self, spec):
         u = np.array([0.1, 0.35, 0.5, 0.77, 0.94])
         # uniform margins: C(u, 1) = u and C(1, v) = v
@@ -99,11 +111,11 @@ class TestCopulaCdf:
         )
 
     def test_comonotone_is_min(self):
-        assert do.copula_cdf(dg.comonotone(), 0.3, 0.8) == 0.3
+        assert do.copula_cdf(dg.Comonotone(), 0.3, 0.8) == 0.3
 
     def test_mixture_is_convex_combination(self):
-        base, alt = dg.gumbel(2.0), dg.comonotone()
-        spec = dg.mixture(0.25, base, alt)
+        base, alt = dg.gumbel(2.0), dg.Comonotone()
+        spec = dg.Mixture(0.25, base, alt)
         u, v = 0.5, 0.6
         expect = 0.75 * do.copula_cdf(base, u, v) + 0.25 * do.copula_cdf(alt, u, v)
         assert do.copula_cdf(spec, u, v) == pytest.approx(expect, rel=1e-14)
@@ -113,8 +125,8 @@ class TestConditionalCdf:
     @pytest.mark.parametrize(
         "spec",
         [dg.gumbel(2.0), dg.husler_reiss(1.0),
-         dg.mixture(0.3, dg.gumbel(2.0), dg.husler_reiss(0.5))],
-        ids=lambda s: s.kind,
+         dg.Mixture(0.3, dg.gumbel(2.0), dg.husler_reiss(0.5))],
+        ids=kind,
     )
     def test_matches_finite_difference(self, spec):
         # [DERIVED] dC/du via central FD of the copula CDF
@@ -133,7 +145,7 @@ class TestConditionalCdf:
 
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
-            do.conditional_cdf(dg.comonotone(), 0.5, 0.5)
+            do.conditional_cdf(dg.Comonotone(), 0.5, 0.5)
 
 
 class TestCopulaDensity:
@@ -141,16 +153,15 @@ class TestCopulaDensity:
         "spec",
         [dg.gumbel(1.5), dg.gumbel(10.0), dg.husler_reiss(0.3), dg.husler_reiss(1.0),
          dg.husler_reiss(5.0)],
-        ids=lambda s: s.describe(),
+        ids=describe,
     )
     def test_density_matches_finite_difference(self, spec):
         # [DERIVED] c(u, v) = d/dv dC/du (u, v) via central FD of conditional_cdf
-        model = do.ev_model(spec)
         u, v = np.meshgrid([0.1, 0.4, 0.7, 0.95], [0.15, 0.5, 0.8, 0.97])
         u, v = u.ravel(), v.ravel()
         h = 1e-6
         fd = (do.conditional_cdf(spec, u, v + h) - do.conditional_cdf(spec, u, v - h)) / (2 * h)
-        g, dens = do.conditional_terms(model, u, -np.log(u), v)
+        g, dens = do.conditional_terms(spec, u, -np.log(u), v)
         np.testing.assert_allclose(dens, fd, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(g, do.conditional_cdf(spec, u, v), rtol=1e-13)
 
@@ -161,7 +172,7 @@ class TestNewtonSampler:
         + [dg.gumbel(t) for t in (1.0, 1.5, 2.0, 10.0, 50.0)]
     )
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("spec", SPECS, ids=describe)
     def test_matches_bisection_oracle(self, spec):
         for seed in range(3):
             got = do.sample_conditional(spec, 3000, np.random.default_rng(seed))
@@ -169,7 +180,7 @@ class TestNewtonSampler:
             np.testing.assert_array_equal(got[:, 0], ref[:, 0])
             assert np.max(np.abs(got[:, 1] - ref[:, 1])) <= 1e-12
 
-    @pytest.mark.parametrize("spec", [dg.husler_reiss(1.0), dg.gumbel(2.0)], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", [dg.husler_reiss(1.0), dg.gumbel(2.0)], ids=kind)
     def test_consumes_two_uniforms_per_pair(self, spec):
         rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         do.sample_conditional(spec, 500, rng)
@@ -184,7 +195,7 @@ class TestExactSamplers:
     )
     ENDS = [dg.husler_reiss(0.001), dg.husler_reiss(8.0), dg.gumbel(1.0), dg.gumbel(1000.0)]
 
-    @pytest.mark.parametrize("spec", EV_SPECS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("spec", EV_SPECS, ids=describe)
     def test_copula_matches_stdf(self, spec):
         # [DERIVED] C(u, v) = exp(-ell(-log u, -log v)) on a 5 x 5 grid, each
         # empirical value within 4 binomial standard errors at 10^6 draws
@@ -202,7 +213,7 @@ class TestExactSamplers:
         se = np.sqrt(c * (1.0 - c) / n)
         assert np.all(np.abs(emp - c) <= 4.0 * se)
 
-    @pytest.mark.parametrize("spec", ENDS, ids=lambda s: s.describe())
+    @pytest.mark.parametrize("spec", ENDS, ids=describe)
     def test_parameter_ends(self, spec):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -227,8 +238,8 @@ class TestExactSamplers:
     def test_mixture_component_order(self):
         # the component labels first, then every base draw, then every
         # alternative draw, all from the one stream
-        base, alt = dg.husler_reiss(1.0), dg.maxlinear(0.7, 0.3, 0.1, 0.9)
-        got = dg.sample(dg.mixture(0.3, base, alt), 1000, np.random.default_rng(5))
+        base, alt = dg.husler_reiss(1.0), dg.MaxLinear(0.7, 0.3, 0.1, 0.9)
+        got = dg.sample(dg.Mixture(0.3, base, alt), 1000, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         take_alt = rng.uniform(size=1000) < 0.3
         expect = np.empty((1000, 2))
@@ -242,9 +253,9 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "spec",
-        [dg.gumbel(2.0), dg.husler_reiss(1.0), dg.maxlinear(0.7, 0.3, 0.1, 0.9),
+        [dg.gumbel(2.0), dg.husler_reiss(1.0), dg.MaxLinear(0.7, 0.3, 0.1, 0.9),
          dg.scenario_copula(2, 0.5, "logistic")],
-        ids=lambda s: s.kind,
+        ids=kind,
     )
     def test_margins_uniform(self, spec):
         x = dg.sample(spec, self.N, np.random.default_rng(1))
@@ -255,10 +266,10 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "spec",
-        [dg.gumbel(2.0), dg.husler_reiss(1.0), dg.comonotone(),
-         dg.maxlinear(0.7, 0.3, 0.1, 0.9),
-         dg.mixture(0.5, dg.gumbel(2.0), dg.comonotone())],
-        ids=lambda s: s.kind,
+        [dg.gumbel(2.0), dg.husler_reiss(1.0), dg.Comonotone(),
+         dg.MaxLinear(0.7, 0.3, 0.1, 0.9),
+         dg.Mixture(0.5, dg.gumbel(2.0), dg.Comonotone())],
+        ids=kind,
     )
     def test_empirical_copula_matches_analytic(self, spec):
         x = dg.sample(spec, self.N, np.random.default_rng(2))
@@ -269,7 +280,7 @@ class TestSampling:
             assert emp == pytest.approx(ana, abs=0.01)
 
     def test_comonotone_exact(self):
-        x = dg.sample(dg.comonotone(), 100, np.random.default_rng(3))
+        x = dg.sample(dg.Comonotone(), 100, np.random.default_rng(3))
         np.testing.assert_array_equal(x[:, 0], x[:, 1])
 
     def test_reproducible(self):
@@ -279,12 +290,12 @@ class TestSampling:
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
-            dg.sample(dg.comonotone(), 0, 1)
+            dg.sample(dg.Comonotone(), 0, 1)
 
     def test_mixture_composition(self):
         # lambda = 1 reduces to the alternative exactly
         rng = np.random.default_rng(4)
-        spec = dg.mixture(1.0, dg.gumbel(2.0), dg.comonotone())
+        spec = dg.Mixture(1.0, dg.gumbel(2.0), dg.Comonotone())
         x = dg.sample(spec, 200, rng)
         np.testing.assert_array_equal(x[:, 0], x[:, 1])
 

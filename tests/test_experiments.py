@@ -119,7 +119,7 @@ class TestSingleTest:
         assert not rep.r_clamped
 
     def test_gross_misfit_rejects(self):
-        data = dg.sample(dg.maxlinear(0.7, 0.3, 0.1, 0.9), 3000, np.random.default_rng(1))
+        data = dg.sample(dg.MaxLinear(0.7, 0.3, 0.1, 0.9), 3000, np.random.default_rng(1))
         rep = ex.run_single_test(data, "logistic", 50, B=300, seed=1, grid=SMALL)
         assert rep.status == "ok"
         assert rep.p_value < 0.01
@@ -232,6 +232,16 @@ class TestPowerStudy:
         curve = ex.run_power_study(cfg)
         assert curve.reps.tolist() == [5, 5, 5]
         assert len(calls) == 3
+
+    def test_negative_seed_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*_args, **_kwargs):
+            raise AssertionError("data were drawn")
+
+        monkeypatch.setattr(dg, "sample", no_draw)
+        cfg = ex.ScenarioConfig(family="hr", scenario=2, lambdas=(0.0,), n=400, k=20,
+                                B=20, reps=2, seed=-1, grid=TINY)
+        with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+            ex.run_power_study(cfg)
 
 class TestPairwise:
     def test_mixed_table(self):

@@ -239,7 +239,7 @@ class TestWeights:
         )
 
     def test_from_name(self):
-        assert g.WeightKind.from_name("const") is g.WeightKind.CONSTANT
-        assert g.WeightKind.from_name("invsqrt") is g.WeightKind.INV_SQRT_PI4
+        assert g.WeightKind("const") is g.WeightKind.CONSTANT
+        assert g.WeightKind("invsqrt") is g.WeightKind.INV_SQRT_PI4
         with pytest.raises(ValueError):
-            g.WeightKind.from_name("bogus")
+            g.WeightKind("bogus")

@@ -131,7 +131,7 @@ class TestTestStatistic:
 
         rng = np.random.default_rng(8)
         good = datagen.sample(datagen.gumbel(2.0), 4000, rng)
-        bad = datagen.sample(datagen.comonotone(), 4000, rng)
+        bad = datagen.sample(datagen.Comonotone(), 4000, rng)
         law = get_law(LogisticModel(0.5), 2.0)
         k = 60
         s_good = ws.test_statistic(angular_dataset(good, k, 2.0), law, WeightKind.INV_SQRT_PI4)
