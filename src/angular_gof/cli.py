@@ -26,9 +26,7 @@ from .empirical import default_k
 from .geometry import WeightKind
 from .models import FAMILIES
 from .limitlaw import (
-    DESK_GRID,
     GRID_PRESETS,
-    CriticalValueTable,
     UnsupportedFeatureError,
     check_draw_inputs,
     check_table_inputs,

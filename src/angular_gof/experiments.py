@@ -21,7 +21,8 @@ import numpy as np
 from . import datagen
 from .empirical import AngularDataset, DegenerateDataError, angular_dataset, default_k
 from .geometry import WeightKind
-from .limitlaw import DESK_GRID, FieldGrid, critical_value_table, p_value, quantile, simulate_L
+from .limitlaw import (DESK_GRID, FieldGrid, critical_value_table, keyed_rng, p_value, quantile,
+                       simulate_L)
 from .models import (Model, ParamEstimate, QuadratureError, estimate_param, family_class,
                      get_law, make_model)
 from .wasserstein import TestStatistic, test_statistic
@@ -211,12 +212,6 @@ class PowerCurve:
     r_grid: np.ndarray
 
 
-def _data_rng(seed: int, lam_index: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(lam_index, rep)))
-    )
-
-
 def _r_grid_for(family: str, r_values: np.ndarray) -> np.ndarray:
     """Parameter grid at the family's pitch covering observed r̂, capped."""
     cls = family_class(family)
@@ -245,7 +240,7 @@ def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:
     fits = []
     for li, lam in enumerate(lambdas.tolist()):
         spec = datagen.scenario_copula(config.scenario, lam, config.family)
-        samples = (datagen.sample(spec, config.n, _data_rng(config.seed, li, rep))
+        samples = (datagen.sample(spec, config.n, keyed_rng(config.seed, li, rep))
                    for rep in range(config.reps))
         fits.append([(res.estimate.r, res.statistic.value) if res.status == "ok" else None
                      for res in fit_all(samples, config.family, config.k, config.p, config.q)])

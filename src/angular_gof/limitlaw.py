@@ -47,7 +47,10 @@ grid) serves both weights.  A draw is X = F eps with eps ~ N(0, I_N).
 ``simulate_L`` draws replicates in blocks of 64: block j fills its 64 x N
 matrix of eps row by row from one generator keyed by (base_seed, j), and
 replicate b is row b % 64 of block b // 64, so its value depends on
-neither B nor the thread count.
+neither B nor the thread count.  The blocks of the latest (base_seed, N)
+are kept, up to 32 MiB, so draws at another model with the same seed (the
+pairs driver's common random numbers) reuse the normals and pay only for
+the products.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ __all__ = [
     "check_table_inputs",
     "critical_value_table",
     "block_rng",
+    "keyed_rng",
 ]
 
 
@@ -501,11 +505,17 @@ class LimitLawSimulator:
             ) from exc
 
 
+def keyed_rng(seed: int, *key: int) -> np.random.Generator:
+    """Philox generator of the seed sequence (seed, spawn key ``key``): one
+    independent stream per key, whatever the order the keys are drawn in."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
+
+
 def block_rng(base_seed: int, block: int) -> np.random.Generator:
     """Independent, scheduling-invariant stream for one block of replicates."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=base_seed, spawn_key=(block,)))
-    )
+    return keyed_rng(base_seed, block)
 
 
 # Bytes of factors the simulator cache may hold: 16 simulators on the paper
@@ -521,10 +531,49 @@ def get_simulator(model: Model, p: float, grid: FieldGrid) -> LimitLawSimulator:
 
 
 # Replicates per block in simulate_L: one generator fills a block's normals
-# and one matrix product maps them.  The shape of every product is fixed (the
-# last block is zero-padded), so replicate b is computed by the same
-# arithmetic whatever B is.
+# and one matrix product maps them.  The shape of every product is fixed, so
+# replicate b is computed by the same arithmetic whatever B is.
 _CHUNK = 64
+
+# Bytes of normals the memo of simulate_L may hold: the blocks of B = 8000
+# draws on the desk grid (250 KiB each) or of B = 4000 on the paper grid
+# (500 KiB each).
+_NORMALS_CACHE_BYTES = 32 * 2**20
+
+
+class _NormalsMemo:
+    """The normals of the latest (base_seed, N): block j is the 64 x N
+    matrix that ``block_rng(base_seed, j)`` fills row by row, kept read-only.
+
+    The pairs driver draws every pair at one seed, so later draws at other
+    models reuse the blocks.  ``use`` with another key drops them (critical
+    value tables take a new seed per node, so older keys would not be hit
+    again).  Blocks past ``limit`` bytes are drawn at each request and not
+    kept.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.key = None
+        self.blocks: list = []
+
+    def use(self, base_seed: int, N: int) -> None:
+        """Serve the blocks of (base_seed, N) from now on."""
+        if self.key != (base_seed, N):
+            self.key, self.blocks = (base_seed, N), []
+
+    def block(self, j: int) -> np.ndarray:
+        if j < len(self.blocks):
+            return self.blocks[j]
+        base_seed, N = self.key
+        eps = block_rng(base_seed, j).standard_normal((_CHUNK, N))
+        if j == len(self.blocks) and (j + 1) * eps.nbytes <= self.limit:
+            eps.flags.writeable = False
+            self.blocks.append(eps)
+        return eps
+
+
+_NORMALS = _NormalsMemo(_NORMALS_CACHE_BYTES)
 
 
 def simulate_L(
@@ -539,7 +588,10 @@ def simulate_L(
     """B independent draws of L under the weight q, as an array.  Replicate
     b is row b % 64 of the normals that ``block_rng(base_seed, b // 64)``
     writes row by row, so its value depends on neither B nor ``threads``.
-    B < 1 and base_seed < 0 raise ValueError before any simulator is built.
+    The blocks come from the memo of the latest (base_seed, N), which is
+    replaced before the simulator is built, so a call at a new seed does not
+    hold the old normals through the build.  B < 1 and base_seed < 0 raise
+    ValueError before any simulator is built.
 
     ``threads`` is accepted and ignored, for callers that pass it: the draws
     are matrix products whose threading is the BLAS library's.
@@ -548,17 +600,17 @@ def simulate_L(
         raise ValueError("B must be >= 1")
     if base_seed < 0:
         raise ValueError(f"base_seed must be at least 0, got {base_seed}")
+    _NORMALS.use(base_seed, grid.N)
     sim = get_simulator(model, p, grid)
     # Exact per-cell integrals of the weight function.
     edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
     q_cells = np.asarray(geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float)
     values = np.empty(B)
-    eps = np.empty((_CHUNK, grid.N))
-    for start in range(0, B, _CHUNK):
+    for j, start in enumerate(range(0, B, _CHUNK)):
         n = min(_CHUNK, B - start)
-        block_rng(base_seed, start // _CHUNK).standard_normal(out=eps[:n])
-        eps[n:] = 0.0
-        values[start:start + n] = (np.abs(eps @ sim._F.T) @ q_cells)[:n]
+        # Row b of the product depends on row b of the block alone, so the
+        # rows past B change nothing.
+        values[start:start + n] = (np.abs(_NORMALS.block(j) @ sim._F.T) @ q_cells)[:n]
     return values
 
 

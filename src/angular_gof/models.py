@@ -458,44 +458,69 @@ class _HalfCache:
     the half [pi/4, pi/2] by the mirror map theta = pi/2 - (pi/4) s^kappa.
     Cumulatives run from the arc endpoint (0 or pi/2) inward, in s.
     Three integrands are accumulated in one density sweep: phi, f*phi, f^2*phi.
+    ``sweep`` builds several caches from one sweep over all their nodes.
     """
 
     THETA_CUT = 1e-280  # quadrature cutoff; mass below it is added analytically
 
     def __init__(self, model, p, lower: bool, n_panels: int):
-        self.kappa = model.endpoint_kappa()
-        tail = model.endpoint_tail_mass(self.THETA_CUT)
+        self._fill(model, p, [(self, lower, n_panels)])
+
+    @classmethod
+    def sweep(cls, model, p, parts) -> list:
+        """The cache of each (lower, n_panels) in ``parts``, equal bit for bit
+        to ``_HalfCache(model, p, lower, n_panels)``."""
+        caches = [object.__new__(cls) for _ in parts]
+        cls._fill(model, p, [(c, lower, n) for c, (lower, n) in zip(caches, parts)])
+        return caches
+
+    @classmethod
+    def _fill(cls, model, p, parts) -> None:
+        """Set the tables of each (cache, lower, n_panels) in ``parts``.
+
+        The density is evaluated once on the concatenated nodes of all parts;
+        every operation on them is elementwise, and each part's panel sums run
+        on its own (n_panels, 8) block, so a part's tables do not depend on
+        the others.
+        """
+        kappa = model.endpoint_kappa()
+        tail = model.endpoint_tail_mass(cls.THETA_CUT)
         s_cut = 0.0
         if tail > 0.0:
-            s_cut = math.exp(math.log(self.THETA_CUT / PI_4) / self.kappa)
-        edges = np.linspace(s_cut, 1.0, n_panels + 1)
-        widths = np.diff(edges)
-        nodes = edges[:-1, None] + widths[:, None] * _GL_NODES[None, :]
-        sflat = nodes.ravel()
+            s_cut = math.exp(math.log(cls.THETA_CUT / PI_4) / kappa)
+        edges = [np.linspace(s_cut, 1.0, n_panels + 1) for _, _, n_panels in parts]
+        widths = [np.diff(e) for e in edges]
+        s = np.concatenate([(e[:-1, None] + w[:, None] * _GL_NODES[None, :]).ravel()
+                            for e, w in zip(edges, widths)])
+        spans, at = [], 0
+        for _, _, n_panels in parts:
+            spans.append(slice(at, at + 8 * n_panels))
+            at += 8 * n_panels
         # Distance from the arc endpoint; floored so sin(eps) never underflows
         # to an exact zero (large kappa drives s^kappa below the float range).
-        eps = np.maximum(PI_4 * np.power(sflat, self.kappa), 1e-300)
-        jac = PI_4 * self.kappa * np.power(sflat, self.kappa - 1.0)
+        eps = np.maximum(PI_4 * np.power(s, kappa), 1e-300)
+        jac = PI_4 * kappa * np.power(s, kappa - 1.0)
         # Evaluate cos/sin of theta via the mirror identity rather than
         # forming theta = pi/2 - eps, which would round eps away near the
         # endpoint and the singular density amplifies that noise.
-        if lower:
-            cos_t, sin_t = np.cos(eps), np.sin(eps)
-        else:
-            cos_t, sin_t = np.sin(eps), np.cos(eps)
+        cos_t, sin_t = np.cos(eps), np.sin(eps)
+        for (_, lower, _), span in zip(parts, spans):
+            if not lower:  # theta = pi/2 - eps swaps cos and sin
+                cos_t[span], sin_t[span] = sin_t[span], cos_t[span].copy()
         dens = lp_norm(p, cos_t, sin_t) / (cos_t * sin_t) * model.exponent_density(cos_t, sin_t) * jac
         f = (sin_t - cos_t) / lp_norm(p, sin_t, cos_t)
-        w = (_GL_WEIGHTS[None, :] * widths[:, None]).ravel()
-        panel = (dens * w).reshape(n_panels, 8)
-        panel_f = (dens * f * w).reshape(n_panels, 8)
-        panel_f2 = (dens * f * f * w).reshape(n_panels, 8)
-        # Seed the cumulatives with the analytic endpoint atom; f is -1 at
-        # theta = 0 and +1 at theta = pi/2.
-        f_end = -1.0 if lower else 1.0
-        self.s_edges = edges
-        self.cum = tail + _cumulative(panel)
-        self.cum_f = f_end * tail + _cumulative(panel_f)
-        self.cum_f2 = tail + _cumulative(panel_f2)
+        for (cache, lower, n_panels), e, width, span in zip(parts, edges, widths, spans):
+            d = dens[span].reshape(n_panels, 8)
+            fd = f[span].reshape(n_panels, 8)
+            w = _GL_WEIGHTS[None, :] * width[:, None]
+            # Seed the cumulatives with the analytic endpoint atom; f is -1 at
+            # theta = 0 and +1 at theta = pi/2.
+            f_end = -1.0 if lower else 1.0
+            cache.kappa = kappa
+            cache.s_edges = e
+            cache.cum = tail + _cumulative(d * w)
+            cache.cum_f = f_end * tail + _cumulative(d * fd * w)
+            cache.cum_f2 = tail + _cumulative(d * fd * fd * w)
 
     @property
     def total(self) -> float:
@@ -554,13 +579,31 @@ def _half_arc_table(x, lower_cum, upper_cum, total) -> np.ndarray:
     return np.hstack([lower, upper])
 
 
+def _doubling_levels(model: Model, p: float):
+    """(lower, upper) ``_HalfCache`` pairs at 256, 512, ..., 4096 panels.
+
+    Every law evaluates the first two levels, so their four half-arcs come
+    from one density sweep.  A later level is built only when the previous
+    one did not converge, one half-arc at a time.
+    """
+    lower_256, upper_256, lower_512, upper_512 = _HalfCache.sweep(
+        model, p, [(True, 256), (False, 256), (True, 512), (False, 512)])
+    yield lower_256, upper_256
+    yield lower_512, upper_512
+    for n_panels in (1024, 2048, 4096):
+        yield _HalfCache(model, p, True, n_panels), _HalfCache(model, p, False, n_panels)
+
+
 class AngularLaw:
     """Cached angular measure of a model on the L_p arc.
 
     Exposes the unnormalized CDF Phi, the probability CDF Q, the partial
     moments of f under Q, and the total mass.  Construction runs the panel
     quadrature with doubling refinement until the total-mass estimate is
-    stable to ``_LAW_TOL`` (absolute).
+    stable to ``_LAW_TOL`` (absolute).  No law stops before 512 panels, so
+    both half-arcs at 256 and 512 panels come from one density sweep
+    (``_HalfCache.sweep``); the tables equal those of four separate
+    ``_HalfCache`` builds bit for bit.
     """
 
     def __init__(self, model: Model, p: float):
@@ -568,9 +611,7 @@ class AngularLaw:
         self.p = p
         prev = None
         achieved = math.inf
-        for n_panels in (256, 512, 1024, 2048, 4096):
-            lower = _HalfCache(model, p, True, n_panels)
-            upper = _HalfCache(model, p, False, n_panels)
+        for lower, upper in _doubling_levels(model, p):
             totals = np.array(
                 [lower.total, upper.total, lower.total_f, upper.total_f]
             )

@@ -18,6 +18,8 @@ Oracles:
     on the desk and paper grids
   - the cell masses mirrored across the diagonal against every cell
     evaluated (``limitlaw_oracle.full_cell_masses``), bit for bit
+  - draws from memoized normal blocks against draws from a fresh memo and
+    from a memo that keeps no block, bit for bit
 """
 
 import math
@@ -430,8 +432,8 @@ class TestDraws:
         np.testing.assert_array_equal(a, b)
 
     def test_replicate_values_do_not_depend_on_B(self):
-        # 130 draws span two full blocks and a zero-padded third; 1 and 65
-        # leave a block with a single row filled.
+        # 130 draws span two full blocks and two rows of a third; 1 and 65
+        # use a single row of a block.
         model = HuslerReissModel(1.0)
         a = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
         for B in (1, 64, 65, 70):
@@ -448,6 +450,15 @@ class TestDraws:
             eps = ll.block_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
             expect = float(np.abs(sim._F @ eps) @ q_cells)
             assert draws[b] == pytest.approx(expect, rel=1e-12)
+
+    def test_keyed_streams_are_the_philox_recipe(self):
+        # block streams and the power study's data streams share one recipe
+        for seed, key in ((9, (0,)), (9, (3,)), (5, (1, 7))):
+            expect = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=seed, spawn_key=key))).standard_normal(50)
+            np.testing.assert_array_equal(ll.keyed_rng(seed, *key).standard_normal(50), expect)
+            if len(key) == 1:
+                np.testing.assert_array_equal(ll.block_rng(seed, *key).standard_normal(50), expect)
 
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
         monkeypatch.setattr(ll, "get_simulator", _no_build)
@@ -478,6 +489,99 @@ class TestDraws:
         assert ll.p_value(values, 2.5) == 0.5
         assert ll.p_value(values, 2.0) == 0.75  # ties count as exceedances
         assert ll.p_value(values, 10.0) == 0.0
+
+
+class TestNormalsMemo:
+    """simulate_L keeps the normal blocks of the latest (base_seed, N)."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo = ll._NormalsMemo(ll._NORMALS_CACHE_BYTES)
+        monkeypatch.setattr(ll, "_NORMALS", memo)
+        return memo
+
+    @pytest.fixture
+    def rng_calls(self, monkeypatch):
+        calls = []
+        real = ll.block_rng
+
+        def counting(base_seed, block):
+            calls.append((base_seed, block))
+            return real(base_seed, block)
+
+        monkeypatch.setattr(ll, "block_rng", counting)
+        return calls
+
+    def test_same_seed_and_N_draws_no_new_normals(self, memo, rng_calls, monkeypatch):
+        ll.simulate_L(HuslerReissModel(1.0), 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=21)
+        assert rng_calls == [(21, 0), (21, 1), (21, 2)]
+        rng_calls.clear()
+        model = LogisticModel(0.5)
+        again = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 130, base_seed=21)
+        fewer = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 70, base_seed=21)
+        assert rng_calls == []
+        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        fresh = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 130, base_seed=21)
+        assert rng_calls == [(21, 0), (21, 1), (21, 2)]
+        np.testing.assert_array_equal(again, fresh)
+        np.testing.assert_array_equal(fewer, fresh[:70])
+
+    def test_more_draws_extend_the_memo(self, memo, rng_calls, monkeypatch):
+        model = HuslerReissModel(1.0)
+        ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=21)
+        more = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 200, base_seed=21)
+        assert rng_calls == [(21, 0), (21, 1), (21, 2), (21, 3)]
+        assert len(memo.blocks) == 4
+        for j, block in enumerate(memo.blocks):
+            np.testing.assert_array_equal(block, ll.block_rng(21, j).standard_normal((64, TINY.N)))
+        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(0))  # keeps no block
+        np.testing.assert_array_equal(
+            more, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 200, base_seed=21))
+
+    def test_draws_past_the_limit_are_unchanged(self, memo, rng_calls, monkeypatch):
+        model = HuslerReissModel(1.0)
+        full = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22)
+        block_bytes = 64 * TINY.N * 8
+        small = ll._NormalsMemo(2 * block_bytes + block_bytes // 2)
+        monkeypatch.setattr(ll, "_NORMALS", small)
+        rng_calls.clear()
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                full, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22))
+            assert len(small.blocks) == 2
+            assert sum(block.nbytes for block in small.blocks) <= small.limit
+        # blocks 0 and 1 are kept; 2, 3 and 4 are drawn at each call
+        assert rng_calls == [(22, j) for j in range(5)] + [(22, j) for j in range(2, 5)]
+
+    def test_stored_blocks_are_read_only(self, memo):
+        ll.simulate_L(LogisticModel(0.5), 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=23)
+        assert len(memo.blocks) == 2
+        for block in memo.blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+
+    def test_new_seed_or_N_replaces_the_memo(self, memo, rng_calls, monkeypatch):
+        model = LogisticModel(0.5)
+        ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=24)
+        old = memo.blocks[0]
+        real = ll.get_simulator
+        held = []
+
+        def spying(*args):
+            held.append(list(memo.blocks))
+            return real(*args)
+
+        monkeypatch.setattr(ll, "get_simulator", spying)
+        ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 64, base_seed=25)
+        # the old normals are dropped before the simulator is looked up
+        assert held == [[]]
+        assert memo.key == (25, TINY.N) and len(memo.blocks) == 1
+        np.testing.assert_array_equal(memo.blocks[0], ll.keyed_rng(25, 0).standard_normal((64, TINY.N)))
+        assert not np.array_equal(memo.blocks[0], old)
+        ll.simulate_L(model, 2.0, SMALL, WeightKind.CONSTANT, 64, base_seed=25)
+        assert memo.key == (25, SMALL.N) and memo.blocks[0].shape == (64, SMALL.N)
+        assert rng_calls == [(24, 0), (24, 1), (24, 2), (25, 0), (25, 0)]  # seed 25 at each N
 
 
 class TestCriticalValueTable:

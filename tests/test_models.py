@@ -7,6 +7,8 @@ Key oracles:
   - total angular mass vs. direct adaptive quadrature of the raw density
   - the moment identity E_Q[f] = 0 (the true angular measure satisfies the
     constraint the Euclidean weights enforce)
+  - the law built from one density sweep over several half-arcs and levels
+    against one ``_HalfCache`` per half-arc and level, bit for bit
 """
 
 import math
@@ -461,6 +463,95 @@ class TestPchipOracle:
             law.f_integral(theta) * law.total_mass, _pchip_oracle(law, theta, True),
             rtol=0, atol=tol,
         )
+
+
+def _per_level_law(model, p):
+    """The AngularLaw construction with one ``_HalfCache`` per half-arc and
+    level: (n_cells, total_mass, var_f, cdf table, f table), or the
+    QuadratureError it raises."""
+    prev = None
+    achieved = math.inf
+    for n_panels in (256, 512, 1024, 2048, 4096):
+        lower = md._HalfCache(model, p, True, n_panels)
+        upper = md._HalfCache(model, p, False, n_panels)
+        totals = np.array([lower.total, upper.total, lower.total_f, upper.total_f])
+        if prev is not None:
+            achieved = float(np.max(np.abs(totals - prev)))
+            if achieved < md._LAW_TOL:
+                break
+        prev = totals
+    else:
+        return md.QuadratureError(f"angular CDF quadrature did not converge for {model}", achieved)
+    total_mass = lower.total + upper.total
+    total_f = lower.total_f + upper.total_f
+    mean_f = total_f / total_mass
+    var_f = max((lower.total_f2 + upper.total_f2) / total_mass - mean_f**2, 0.0)
+    edges = lower.s_edges
+    return (n_panels, total_mass, var_f,
+            md._half_arc_table(edges, lower.cum, upper.cum, total_mass),
+            md._half_arc_table(edges, lower.cum_f, upper.cum_f, total_f))
+
+
+# HR r = 0.001 and 1.45 and logistic r = 0.002 stop at 1024 panels, logistic
+# r = 0.001 at 2048, the rest at 512; logistic r = 1 - 1e-9 cuts the
+# quadrature at s = 0.94.
+SWEEP_CASES = [("hr", 0.001), ("hr", 1.0), ("hr", 1.45), ("hr", 8.0),
+               ("logistic", 0.001), ("logistic", 0.002), ("logistic", 0.5),
+               ("logistic", 1.0 - 1e-9)]
+
+
+class TestLawSweep:
+    """The 256- and 512-panel levels of both half-arcs come from one density
+    sweep; the law must equal the per-level construction bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("family,r", SWEEP_CASES)
+    def test_law_equals_per_level_half_caches(self, family, r, p):
+        model = md.make_model(family, r)
+        law = md.AngularLaw(model, p)
+        n_cells, total_mass, var_f, cdf_table, f_table = _per_level_law(model, p)
+        assert law._n_cells == n_cells
+        assert law.total_mass == total_mass
+        assert law.var_f == var_f
+        np.testing.assert_array_equal(law._cdf_table, cdf_table)
+        np.testing.assert_array_equal(law._f_table, f_table)
+
+    def test_cases_cover_three_panel_counts(self):
+        cells = {md.AngularLaw(md.make_model(f, r), 2.0)._n_cells for f, r in SWEEP_CASES}
+        assert cells == {512, 1024, 2048}
+
+    @pytest.mark.parametrize("family,r", [("hr", 1.0), ("logistic", 0.002)])
+    def test_quadrature_error_as_per_level(self, family, r, monkeypatch):
+        # No level can converge at tolerance 0: all five are built and the
+        # error reports the last change of the totals.
+        monkeypatch.setattr(md, "_LAW_TOL", 0.0)
+        model = md.make_model(family, r)
+        expect = _per_level_law(model, 2.0)
+        assert isinstance(expect, md.QuadratureError)
+        with pytest.raises(md.QuadratureError) as err:
+            md.AngularLaw(model, 2.0)
+        assert str(err.value) == str(expect) and err.value.achieved == expect.achieved
+
+    @pytest.mark.parametrize("family,r", [("hr", 1.45), ("logistic", 0.002)])
+    def test_levels_are_the_per_level_half_caches(self, family, r):
+        model = md.make_model(family, r)
+        levels = md._doubling_levels(model, 2.0)
+        for n_panels, (lower, upper) in zip((256, 512, 1024), levels):
+            for cache, low in ((lower, True), (upper, False)):
+                alone = md._HalfCache(model, 2.0, low, n_panels)
+                assert cache.s_edges.size == n_panels + 1
+                np.testing.assert_array_equal(cache.cum, alone.cum)
+                np.testing.assert_array_equal(cache.cum_f, alone.cum_f)
+
+    @pytest.mark.parametrize("family,r", SWEEP_CASES)
+    def test_sweep_parts_equal_single_half_caches(self, family, r):
+        model = md.make_model(family, r)
+        parts = [(True, 256), (False, 512), (False, 256), (True, 1024)]
+        for cache, (lower, n_panels) in zip(md._HalfCache.sweep(model, 2.0, parts), parts):
+            alone = md._HalfCache(model, 2.0, lower, n_panels)
+            assert cache.kappa == alone.kappa
+            for name in ("s_edges", "cum", "cum_f", "cum_f2"):
+                np.testing.assert_array_equal(getattr(cache, name), getattr(alone, name))
 
 
 class TestByteLRU:
