@@ -6,7 +6,9 @@ import numpy as np
 
 
 def array_bytes(obj) -> int:
-    """Bytes held by the numpy arrays among an object's attributes."""
+    """Bytes of an array, or of the numpy arrays among an object's attributes."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
     return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray))
 
 

@@ -7,8 +7,8 @@ is its batch of one.  ``run_single_test`` adds Monte-Carlo draws of the null
 law at the estimate, the p-value and critical values.  Power studies fit the
 replicates of each mixture weight as one batch and interpolate one table of
 critical values on a parameter grid; multi-pair analyses run one single test
-per column pair, sharing draws between equal estimates, with Bonferroni /
-Benjamini-Hochberg corrections of the p-values.
+per column pair, with Bonferroni / Benjamini-Hochberg corrections of the
+p-values.
 """
 
 from __future__ import annotations
@@ -146,14 +146,11 @@ def run_single_test(
     seed: int = 0,
     grid: FieldGrid = DESK_GRID,
     alphas: tuple = (0.9, 0.95, 0.99),
-    draw_memo: dict | None = None,
 ) -> TestReport:
     """Full goodness-of-fit test of ``family`` on one bivariate sample.
 
-    B null draws are simulated at r_hat, unless ``draw_memo`` already holds
-    draws under the key round(r_hat, 12); new draws are stored there.  A
-    memo must only be shared between calls with the same p, q, B, seed and
-    grid.
+    B null draws at r_hat come from ``simulate_L``, which returns the kept
+    draws of an earlier call with the same r_hat, p, q, B, seed and grid.
     """
     res = fit(sample, family, k, p, q)
     report = TestReport(
@@ -169,16 +166,13 @@ def run_single_test(
     if res.status != "ok":
         return report
     report.t_value = res.statistic.value
-    memo = {} if draw_memo is None else draw_memo
-    key = round(est.r, 12)
     try:
-        if key not in memo:
-            memo[key] = simulate_L(res.model, p, grid, q, B, base_seed=seed)
+        draws = simulate_L(res.model, p, grid, q, B, base_seed=seed)
     except QuadratureError as exc:
         report.status, report.message = "error", str(exc)
         return report
-    report.p_value = p_value(memo[key], report.t_value)
-    report.critical_values = {a: quantile(memo[key], a) for a in alphas}
+    report.p_value = p_value(draws, report.t_value)
+    report.critical_values = {a: quantile(draws, a) for a in alphas}
     return report
 
 
@@ -328,12 +322,12 @@ def run_pairwise_analysis(
 
     ``pairs`` holds (i, j) column indices; rows with a missing value in either
     column are dropped per pair; k defaults to round(sqrt(n)) of the complete
-    cases.  Null draws are memoized by estimated parameter (common random
-    numbers across pairs), which is deterministic and cuts the dominant cost.
+    cases.  Every pair draws at one seed (common random numbers), so a pair
+    whose estimate equals an earlier pair's gets that pair's kept draws from
+    ``simulate_L``, and the others reuse its kept normals.
     """
     table = np.asarray(table, dtype=float)
     results = []
-    draw_memo: dict = {}
     for idx, (c1, c2) in enumerate(pairs):
         label = labels[idx] if labels else f"{c1}-{c2}"
         cols = table[:, [c1, c2]]
@@ -348,9 +342,7 @@ def run_pairwise_analysis(
                 B=B, seed=seed, grid=(grid.h, grid.M, grid.N), message=message,
             )
         else:
-            report = run_single_test(
-                data, family, k_pair, p, q, B, seed=seed, grid=grid, draw_memo=draw_memo,
-            )
+            report = run_single_test(data, family, k_pair, p, q, B, seed=seed, grid=grid)
         results.append(PairResult(label, report))
 
     pvals = np.array([

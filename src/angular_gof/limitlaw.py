@@ -50,7 +50,8 @@ replicate b is row b % 64 of block b // 64, so its value depends on
 neither B nor the thread count.  The blocks of the latest (base_seed, N)
 are kept, up to 32 MiB, so draws at another model with the same seed (the
 pairs driver's common random numbers) reuse the normals and pay only for
-the products.
+the products.  The draws are kept by the whole input of ``simulate_L``, so
+a repeated call returns the same read-only array; factors are not kept.
 """
 
 from __future__ import annotations
@@ -63,12 +64,7 @@ import numpy as np
 from . import geometry
 from ._lru import ByteLRU
 from .geometry import PI_2, WeightKind
-from .models import (
-    Model,
-    get_law,
-    grad_normalized_cdf,
-    make_model,
-)
+from .models import Model, family_class, get_law, grad_normalized_cdf, make_model
 
 __all__ = [
     "FieldGrid",
@@ -518,18 +514,6 @@ def block_rng(base_seed: int, block: int) -> np.random.Generator:
     return keyed_rng(base_seed, block)
 
 
-# Bytes of factors the simulator cache may hold: 16 simulators on the paper
-# grid (7.6 MiB each), 67 on the desk grid (1.9 MiB).
-_SIMULATOR_CACHE_BYTES = 128 * 2**20
-_SIMULATORS = ByteLRU(_SIMULATOR_CACHE_BYTES)
-
-
-def get_simulator(model: Model, p: float, grid: FieldGrid) -> LimitLawSimulator:
-    # LimitLawSimulator is looked up at each build, so a wrapper set on the
-    # module attribute sees every build.
-    return _SIMULATORS.get((model, p, grid), lambda: LimitLawSimulator(model, p, grid))
-
-
 # Replicates per block in simulate_L: one generator fills a block's normals
 # and one matrix product maps them.  The shape of every product is fixed, so
 # replicate b is computed by the same arithmetic whatever B is.
@@ -575,6 +559,10 @@ class _NormalsMemo:
 
 _NORMALS = _NormalsMemo(_NORMALS_CACHE_BYTES)
 
+# Bytes of draws simulate_L may keep: 268 calls at B = 4000 (31 KiB each).
+_DRAWS_CACHE_BYTES = 8 * 2**20
+_DRAWS = ByteLRU(_DRAWS_CACHE_BYTES)
+
 
 def simulate_L(
     model: Model,
@@ -585,23 +573,29 @@ def simulate_L(
     base_seed: int,
     threads: int = 1,
 ) -> np.ndarray:
-    """B independent draws of L under the weight q, as an array.  Replicate
-    b is row b % 64 of the normals that ``block_rng(base_seed, b // 64)``
-    writes row by row, so its value depends on neither B nor ``threads``.
-    The blocks come from the memo of the latest (base_seed, N), which is
-    replaced before the simulator is built, so a call at a new seed does not
-    hold the old normals through the build.  B < 1 and base_seed < 0 raise
-    ValueError before any simulator is built.
-
-    ``threads`` is accepted and ignored, for callers that pass it: the draws
-    are matrix products whose threading is the BLAS library's.
+    """B independent draws of L under the weight q, as a read-only array.
+    Replicate b is row b % 64 of the normals that ``block_rng(base_seed,
+    b // 64)`` writes row by row, so its value depends on neither B nor
+    ``threads``, which is ignored (the products are threaded by BLAS).  The
+    draws are kept by every other argument, so a repeated call returns the
+    same array and builds nothing.  Otherwise the blocks come from the memo
+    of the latest (base_seed, N), which is replaced before the simulator is
+    built, so a call at a new seed does not hold the old normals through the
+    build; the simulator is dropped after the draws.  B < 1 and base_seed < 0
+    raise ValueError first.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if base_seed < 0:
         raise ValueError(f"base_seed must be at least 0, got {base_seed}")
+    key = (model, p, grid, q, B, base_seed)
+    return _DRAWS.get(key, lambda: _draw(*key))
+
+
+def _draw(model: Model, p: float, grid: FieldGrid, q: WeightKind, B: int, base_seed: int):
     _NORMALS.use(base_seed, grid.N)
-    sim = get_simulator(model, p, grid)
+    # Built through the module attribute, so a wrapper set there sees every build.
+    F = LimitLawSimulator(model, p, grid)._F
     # Exact per-cell integrals of the weight function.
     edges = np.arange(grid.N + 1) * (PI_2 / grid.N)
     q_cells = np.asarray(geometry.weight_q_cell_integral(q, edges[:-1], edges[1:]), dtype=float)
@@ -610,24 +604,22 @@ def simulate_L(
         n = min(_CHUNK, B - start)
         # Row b of the product depends on row b of the block alone, so the
         # rows past B change nothing.
-        values[start:start + n] = (np.abs(_NORMALS.block(j) @ sim._F.T) @ q_cells)[:n]
+        values[start:start + n] = (np.abs(_NORMALS.block(j) @ F.T) @ q_cells)[:n]
+    values.flags.writeable = False
     return values
 
 
 def quantile(draws: np.ndarray, alpha: float) -> float:
     """ceil(alpha * B)-th order statistic of the draws."""
-    values = np.asarray(draws)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    b = values.size
-    rank = max(int(math.ceil(alpha * b)), 1)
-    return float(np.sort(values)[rank - 1])
+    rank = max(math.ceil(alpha * np.size(draws)), 1)
+    return float(np.sort(draws)[rank - 1])
 
 
 def p_value(draws: np.ndarray, t: float) -> float:
     """Exceedance proportion (1/B) #{b : L_b >= t}."""
-    values = np.asarray(draws)
-    return float(np.count_nonzero(values >= t)) / values.size
+    return float(np.count_nonzero(np.asarray(draws) >= t)) / np.size(draws)
 
 
 def _round_sig(x: float, digits: int = 12) -> float:
@@ -641,6 +633,8 @@ class CriticalValueTable:
 
     Quantile values are quantized to 12 significant digits at construction so
     that a table written to disk and read back reproduces decisions exactly.
+    An unknown family, an r grid that is not strictly increasing and finite,
+    or quantiles not of shape (len(r_grid), len(alphas)) raise ValueError.
     """
 
     family: str
@@ -652,6 +646,15 @@ class CriticalValueTable:
     B: int
     seed: int
     quantiles: np.ndarray  # shape (len(r_grid), len(alphas))
+
+    def __post_init__(self):
+        family_class(self.family)
+        r = np.asarray(self.r_grid, dtype=float)
+        if r.ndim != 1 or r.size == 0 or not np.all(np.isfinite(r)) or np.any(np.diff(r) <= 0):
+            raise ValueError(f"r_grid must be strictly increasing and finite, got {r.tolist()}")
+        shape = (r.size, len(self.alphas))
+        if np.shape(self.quantiles) != shape:
+            raise ValueError(f"quantiles must have shape {shape}, got {np.shape(self.quantiles)}")
 
     def interp(self, r: float, alpha: float) -> float:
         try:
@@ -689,9 +692,8 @@ class CriticalValueTable:
 
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-        h, M, N = d["grid"]
         return cls(
-            family=d["family"], p=d["p"], grid=FieldGrid(h=h, M=M, N=N),
+            family=d["family"], p=d["p"], grid=FieldGrid(*d["grid"]),
             q=WeightKind(d["q"]), r_grid=np.asarray(d["r_grid"], dtype=float),
             alphas=tuple(d["alphas"]), B=d["B"], seed=d["seed"],
             quantiles=np.asarray(d["quantiles"], dtype=float),
@@ -719,13 +721,16 @@ def check_table_inputs(family: str, p: float, r_grid, alphas, B: int) -> None:
     """Raise for inputs ``critical_value_table`` cannot tabulate.
 
     The checks of ``check_draw_inputs``, then ValueError for an empty r grid,
-    an unknown family or an r outside the family's range.  Nothing is built.
+    an unknown family, an r outside the family's range or a repeated r.
+    Nothing is built.
     """
     check_draw_inputs(p, alphas, B)
     if len(r_grid) == 0:
         raise ValueError("the r grid is empty")
-    for r in r_grid:
+    for i, r in enumerate(r_grid):
         make_model(family, float(r))
+        if r in r_grid[:i]:
+            raise ValueError(f"the r grid repeats {float(r):g}")
 
 
 def critical_value_table(

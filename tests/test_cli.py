@@ -207,8 +207,10 @@ class TestCommands:
          (["--alpha", "1"], "alpha must lie in (0, 1), got 1"),
          (["--p", "inf"], "p = inf is not supported by the limit-law simulator"),
          (["--p", "0.5"], "p must be >= 1, got 0.5"),
-         (["--seed", "-1"], "--seed must be at least 0, got -1")],
-        ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half", "seed-negative"],
+         (["--seed", "-1"], "--seed must be at least 0, got -1"),
+         (["--r-grid", "1,1"], "the r grid repeats 1")],
+        ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half", "seed-negative",
+             "r-repeated"],
     )
     def test_quantiles_inputs_checked_before_any_build(self, monkeypatch, capsys, args, reason):
         from angular_gof import limitlaw
@@ -216,7 +218,7 @@ class TestCommands:
         def no_build(*_args, **_kwargs):
             raise AssertionError("a simulator was built")
 
-        monkeypatch.setattr(limitlaw, "get_simulator", no_build)
+        monkeypatch.setattr(limitlaw, "LimitLawSimulator", no_build)
         argv = ["quantiles", "--family", "logistic", "--r-grid", "0.5", "--B", "20"]
         rc = cli.main(argv + args)
         assert rc == 1

@@ -9,6 +9,7 @@ from angular_gof import datagen as dg
 from angular_gof import experiments as ex
 from angular_gof import limitlaw as ll
 from angular_gof import wasserstein as ws
+from angular_gof._lru import ByteLRU
 from angular_gof.empirical import angular_dataset
 from angular_gof.geometry import WeightKind
 from angular_gof.limitlaw import FieldGrid
@@ -132,9 +133,10 @@ class TestSingleTest:
         assert math.isnan(rep.p_value)
         assert rep.message
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
         a = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
+        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))  # draw again
         b = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
         assert a.to_dict() == b.to_dict()
 
@@ -142,7 +144,7 @@ class TestSingleTest:
         def no_build(*_args, **_kwargs):
             raise AssertionError("a simulator was built")
 
-        monkeypatch.setattr(ll, "get_simulator", no_build)
+        monkeypatch.setattr(ll, "LimitLawSimulator", no_build)
         data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
         with pytest.raises(ValueError, match=r"^base_seed must be at least 0, got -1$"):
             ex.run_single_test(data, "hr", 28, B=100, seed=-1, grid=TINY)
@@ -207,12 +209,13 @@ class TestPowerStudy:
         assert curve.reps.sum() + curve.failures.sum() == 2 * 24
         assert np.all((curve.r_grid > 0) & (curve.r_grid <= 0.95))
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
         cfg = ex.ScenarioConfig(
             family="logistic", scenario=1, lambdas=(0.5,), n=400, k=18,
             B=60, alpha=0.1, reps=8, seed=11, grid=TINY,
         )
         a = ex.run_power_study(cfg, threads=1)
+        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))  # draw again
         b = ex.run_power_study(cfg, threads=4)
         np.testing.assert_array_equal(a.rates, b.rates)
 
@@ -307,3 +310,26 @@ class TestPairwise:
         a, b = report.pairs[0].report, report.pairs[1].report
         assert a.critical_values == b.critical_values
         assert a.p_value == b.p_value
+
+    def test_rank_copy_pair_adds_no_build(self, monkeypatch):
+        # a strictly increasing transform of a pair has its ranks, so its
+        # r_hat, and simulate_L serves it the first pair's kept draws
+        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))
+        built = []
+        real = ll.LimitLawSimulator
+
+        def counting(*args, **kwargs):
+            built.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ll, "LimitLawSimulator", counting)
+        pair = dg.sample(dg.husler_reiss(1.0), 700, np.random.default_rng(12))
+        table = np.column_stack([pair, -1.0 / np.log(pair)])
+        alone = ex.run_pairwise_analysis(table, [(0, 1)], family="hr", B=80, seed=6, grid=TINY)
+        assert len(built) == 1
+        report = ex.run_pairwise_analysis(
+            table, [(0, 1), (2, 3)], family="hr", B=80, seed=6, grid=TINY,
+        )
+        assert len(built) == 1
+        a, b = report.pairs[0].report, report.pairs[1].report
+        assert a.status == "ok" and a.to_dict() == b.to_dict() == alone.pairs[0].report.to_dict()

@@ -20,16 +20,21 @@ Oracles:
     evaluated (``limitlaw_oracle.full_cell_masses``), bit for bit
   - draws from memoized normal blocks against draws from a fresh memo and
     from a memo that keeps no block, bit for bit
+  - draws served by the draws cache against a cold-cache computation, bit
+    for bit
 """
 
+import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from angular_gof import geometry as g
 from angular_gof import limitlaw as ll
+from angular_gof._lru import ByteLRU
 from angular_gof.geometry import WeightKind
 from angular_gof.models import HuslerReissModel, LogisticModel, get_law
 
@@ -252,8 +257,8 @@ class TestSimulatorPipeline:
         assert q_cells.sum() == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-12)
 
     def test_one_factor_serves_both_weights(self, monkeypatch):
-        """Draws under both weights share one build, and each draw is
-        |F eps| summed against its own weight's cell integrals."""
+        """q has no part in the factor: draws under both weights are |F eps|
+        of the same F, each summed against its own weight's cell integrals."""
         built = []
         real = ll.LimitLawSimulator
 
@@ -266,7 +271,7 @@ class TestSimulatorPipeline:
         model = HuslerReissModel(0.8)
         weights = (WeightKind.CONSTANT, WeightKind.INV_SQRT_PI4)
         draws = [ll.simulate_L(model, 2.0, grid, q, 3, base_seed=4) for q in weights]
-        assert len(built) == 1
+        np.testing.assert_array_equal(built[0]._F, built[-1]._F)
         eps = ll.block_rng(4, 0).standard_normal((64, grid.N))[:3]
         abs_x = np.abs(eps @ built[0]._F.T)
         for q, got in zip(weights, draws):
@@ -424,10 +429,16 @@ def _no_build(*_args, **_kwargs):
     raise AssertionError("a simulator was built")
 
 
+def _fresh_draws(monkeypatch):
+    """Give simulate_L an empty draws cache."""
+    monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))
+
+
 class TestDraws:
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
         model = LogisticModel(0.5)
         a = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=1)
+        _fresh_draws(monkeypatch)
         b = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=4)
         np.testing.assert_array_equal(a, b)
 
@@ -444,7 +455,7 @@ class TestDraws:
         # replicate b is row b % 64 of the normals block_rng(seed, b // 64) fills
         model = HuslerReissModel(1.0)
         draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
-        sim = ll.get_simulator(model, 2.0, TINY)
+        sim = ll.LimitLawSimulator(model, 2.0, TINY)
         q_cells = lo.q_cells(WeightKind.CONSTANT, TINY)
         for b in (0, 63, 64, 70, 129):
             eps = ll.block_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
@@ -461,7 +472,7 @@ class TestDraws:
                 np.testing.assert_array_equal(ll.block_rng(seed, *key).standard_normal(50), expect)
 
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
-        monkeypatch.setattr(ll, "get_simulator", _no_build)
+        monkeypatch.setattr(ll, "LimitLawSimulator", _no_build)
         with pytest.raises(ValueError, match=r"^base_seed must be at least 0, got -1$"):
             ll.simulate_L(HuslerReissModel(1.0), 2.0, TINY, WeightKind.CONSTANT, 8, base_seed=-1)
 
@@ -492,10 +503,15 @@ class TestDraws:
 
 
 class TestNormalsMemo:
-    """simulate_L keeps the normal blocks of the latest (base_seed, N)."""
+    """simulate_L keeps the normal blocks of the latest (base_seed, N).
+
+    Each test starts with an empty draws cache, and empties it again before
+    a repeated call, so that the call draws.
+    """
 
     @pytest.fixture
     def memo(self, monkeypatch):
+        _fresh_draws(monkeypatch)
         memo = ll._NormalsMemo(ll._NORMALS_CACHE_BYTES)
         monkeypatch.setattr(ll, "_NORMALS", memo)
         return memo
@@ -521,6 +537,7 @@ class TestNormalsMemo:
         fewer = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 70, base_seed=21)
         assert rng_calls == []
         monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        _fresh_draws(monkeypatch)
         fresh = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 130, base_seed=21)
         assert rng_calls == [(21, 0), (21, 1), (21, 2)]
         np.testing.assert_array_equal(again, fresh)
@@ -535,6 +552,7 @@ class TestNormalsMemo:
         for j, block in enumerate(memo.blocks):
             np.testing.assert_array_equal(block, ll.block_rng(21, j).standard_normal((64, TINY.N)))
         monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(0))  # keeps no block
+        _fresh_draws(monkeypatch)
         np.testing.assert_array_equal(
             more, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 200, base_seed=21))
 
@@ -546,6 +564,7 @@ class TestNormalsMemo:
         monkeypatch.setattr(ll, "_NORMALS", small)
         rng_calls.clear()
         for _ in range(2):
+            _fresh_draws(monkeypatch)
             np.testing.assert_array_equal(
                 full, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22))
             assert len(small.blocks) == 2
@@ -565,16 +584,16 @@ class TestNormalsMemo:
         model = LogisticModel(0.5)
         ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=24)
         old = memo.blocks[0]
-        real = ll.get_simulator
+        real = ll.LimitLawSimulator
         held = []
 
         def spying(*args):
             held.append(list(memo.blocks))
             return real(*args)
 
-        monkeypatch.setattr(ll, "get_simulator", spying)
+        monkeypatch.setattr(ll, "LimitLawSimulator", spying)
         ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 64, base_seed=25)
-        # the old normals are dropped before the simulator is looked up
+        # the old normals are dropped before the simulator is built
         assert held == [[]]
         assert memo.key == (25, TINY.N) and len(memo.blocks) == 1
         np.testing.assert_array_equal(memo.blocks[0], ll.keyed_rng(25, 0).standard_normal((64, TINY.N)))
@@ -617,8 +636,33 @@ class TestCriticalValueTable:
         with pytest.raises(KeyError):
             table.interp(0.5, 0.99)
 
+    def _load_edited(self, tmp_path, **fields):
+        """Load the table's JSON report with ``fields`` replaced."""
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps({**self._table().to_dict(), **fields}))
+        return ll.CriticalValueTable.load(path)
+
+    @pytest.mark.parametrize("r_grid", [[0.5, 0.4, 0.6], [0.4, 0.4, 0.6], [0.4, 0.5, math.inf]],
+                             ids=["unsorted", "repeated", "infinite"])
+    def test_load_rejects_an_r_grid_not_increasing_and_finite(self, tmp_path, r_grid):
+        with pytest.raises(ValueError, match=r"^r_grid must be strictly increasing and finite"):
+            self._load_edited(tmp_path, r_grid=r_grid)
+
+    def test_load_rejects_rows_of_the_wrong_length(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^quantiles must have shape \(3, 2\), got \(3, 1\)$"):
+            self._load_edited(tmp_path, quantiles=[[1.0], [2.0], [3.0]])
+
+    def test_load_rejects_an_unknown_family(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^unknown family 'gumbel'$"):
+            self._load_edited(tmp_path, family="gumbel")
+
+    def test_constructor_checks_too(self):
+        table = self._table()
+        with pytest.raises(ValueError, match=r"^quantiles must have shape"):
+            ll.CriticalValueTable(**{**vars(table), "quantiles": table.quantiles[:2]})
+
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
-        monkeypatch.setattr(ll, "get_simulator", _no_build)
+        monkeypatch.setattr(ll, "LimitLawSimulator", _no_build)
         with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
             ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT, [1.0], (0.9,), 20, seed=-1)
 
@@ -632,19 +676,55 @@ class TestCriticalValueTable:
         assert table.interp(0.5, 0.95) == expect
 
 
-class TestSimulatorCache:
-    def test_builds_through_the_module_attribute(self, monkeypatch):
+class TestDrawsCache:
+    """simulate_L keeps its draws by its whole input, and no factor."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each build's simulator and factor, held by weak reference only."""
         built = []
         real = ll.LimitLawSimulator
 
         def counting(*args, **kwargs):
-            built.append(args[0])
-            return real(*args, **kwargs)
+            sim = real(*args, **kwargs)
+            built.append((weakref.ref(sim), weakref.ref(sim._F)))
+            return sim
 
         monkeypatch.setattr(ll, "LimitLawSimulator", counting)
-        grid = ll.FieldGrid(h=0.1, M=22, N=17)  # a grid no other test uses
+        _fresh_draws(monkeypatch)
+        return built
+
+    def test_builds_through_the_module_attribute(self, builds):
         model = LogisticModel(0.45)
-        first = ll.get_simulator(model, 2.0, grid)
-        again = ll.get_simulator(model, 2.0, grid)
-        assert first is again and built == [model]
-        assert ll._SIMULATORS.nbytes <= ll._SIMULATOR_CACHE_BYTES
+        ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 8, base_seed=3)
+        assert len(builds) == 1
+
+    def test_repeated_call_builds_once_and_is_read_only(self, builds):
+        model = HuslerReissModel(1.0)
+        first = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
+        again = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3, threads=2)
+        assert again is first and len(builds) == 1
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert ll._DRAWS.nbytes == first.nbytes == 100 * 8
+
+    @pytest.mark.parametrize("change", [
+        {"model": LogisticModel(0.5)}, {"p": 1.5}, {"grid": ll.FieldGrid(h=0.1, M=22, N=18)},
+        {"q": WeightKind.INV_SQRT_PI4}, {"B": 99}, {"base_seed": 4},
+    ], ids=["model", "p", "grid", "q", "B", "base_seed"])
+    def test_each_input_keys_the_draws(self, builds, monkeypatch, change):
+        base = {"model": HuslerReissModel(1.0), "p": 2.0, "grid": TINY,
+                "q": WeightKind.CONSTANT, "B": 100, "base_seed": 3}
+        first = ll.simulate_L(**base)
+        other = ll.simulate_L(**{**base, **change})
+        assert len(builds) == 2 and other is not first
+        _fresh_draws(monkeypatch)
+        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        np.testing.assert_array_equal(other, ll.simulate_L(**{**base, **change}))
+        assert len(builds) == 3
+
+    def test_no_factor_outlives_the_call(self, builds):
+        ll.simulate_L(LogisticModel(0.5), 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=3)
+        assert len(builds) == 1
+        assert [ref() for ref in builds[0]] == [None, None]
