@@ -20,7 +20,7 @@ import numpy as np
 from angular_gof import datagen as dg
 from angular_gof.experiments import run_pairwise_analysis
 from angular_gof.geometry import WeightKind
-from angular_gof.limitlaw import GRID_PRESETS
+from angular_gof.limitlaw import GRID_PRESETS, keyed_rng
 from angular_gof.models import FAMILIES
 
 
@@ -31,10 +31,7 @@ def build_table(n_pairs, n_bad, n, family, lam, seed):
     cols, labels, pair_idx = [], [], []
     for j in range(n_pairs):
         spec = dirty if j < n_bad else clean
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=seed, spawn_key=(j,))
-        ))
-        cols.append(dg.sample(spec, n, rng))
+        cols.append(dg.sample(spec, n, keyed_rng(seed, j)))
         tag = "bad" if j < n_bad else "ok"
         labels.append(f"{tag}{j}")
         pair_idx.append((2 * j, 2 * j + 1))

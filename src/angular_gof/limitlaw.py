@@ -81,7 +81,6 @@ __all__ = [
     "check_draw_inputs",
     "check_table_inputs",
     "critical_value_table",
-    "block_rng",
     "keyed_rng",
 ]
 
@@ -99,8 +98,12 @@ class FieldGrid:
     N: int = 1000
 
     def __post_init__(self):
-        if self.h <= 0 or self.M < 3 or self.N < 2:
-            raise ValueError("invalid grid specification")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"grid h must be positive and finite, got {self.h!r}")
+        for name, least in (("M", 3), ("N", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"grid {name} must be an integer >= {least}, got {value!r}")
 
     def theta_grid(self) -> np.ndarray:
         """Midpoints theta_i = (i - 1/2) * pi / (2N), i = 1..N."""
@@ -509,11 +512,6 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
     )
 
 
-def block_rng(base_seed: int, block: int) -> np.random.Generator:
-    """Independent, scheduling-invariant stream for one block of replicates."""
-    return keyed_rng(base_seed, block)
-
-
 # Replicates per block in simulate_L: one generator fills a block's normals
 # and one matrix product maps them.  The shape of every product is fixed, so
 # replicate b is computed by the same arithmetic whatever B is.
@@ -527,7 +525,7 @@ _NORMALS_CACHE_BYTES = 32 * 2**20
 
 class _NormalsMemo:
     """The normals of the latest (base_seed, N): block j is the 64 x N
-    matrix that ``block_rng(base_seed, j)`` fills row by row, kept read-only.
+    matrix that ``keyed_rng(base_seed, j)`` fills row by row, kept read-only.
 
     The pairs driver draws every pair at one seed, so later draws at other
     models reuse the blocks.  ``use`` with another key drops them (critical
@@ -550,7 +548,7 @@ class _NormalsMemo:
         if j < len(self.blocks):
             return self.blocks[j]
         base_seed, N = self.key
-        eps = block_rng(base_seed, j).standard_normal((_CHUNK, N))
+        eps = keyed_rng(base_seed, j).standard_normal((_CHUNK, N))
         if j == len(self.blocks) and (j + 1) * eps.nbytes <= self.limit:
             eps.flags.writeable = False
             self.blocks.append(eps)
@@ -574,7 +572,7 @@ def simulate_L(
     threads: int = 1,
 ) -> np.ndarray:
     """B independent draws of L under the weight q, as a read-only array.
-    Replicate b is row b % 64 of the normals that ``block_rng(base_seed,
+    Replicate b is row b % 64 of the normals that ``keyed_rng(base_seed,
     b // 64)`` writes row by row, so its value depends on neither B nor
     ``threads``, which is ignored (the products are threaded by BLAS).  The
     draws are kept by every other argument, so a repeated call returns the
@@ -633,8 +631,9 @@ class CriticalValueTable:
 
     Quantile values are quantized to 12 significant digits at construction so
     that a table written to disk and read back reproduces decisions exactly.
-    An unknown family, an r grid that is not strictly increasing and finite,
-    or quantiles not of shape (len(r_grid), len(alphas)) raise ValueError.
+    An unknown family, inputs ``check_draw_inputs`` rejects, a negative seed,
+    an r grid that is not strictly increasing and finite, or quantiles not
+    finite and of shape (len(r_grid), len(alphas)) raise ValueError.
     """
 
     family: str
@@ -649,12 +648,17 @@ class CriticalValueTable:
 
     def __post_init__(self):
         family_class(self.family)
+        check_draw_inputs(self.p, self.alphas, self.B)
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         r = np.asarray(self.r_grid, dtype=float)
         if r.ndim != 1 or r.size == 0 or not np.all(np.isfinite(r)) or np.any(np.diff(r) <= 0):
             raise ValueError(f"r_grid must be strictly increasing and finite, got {r.tolist()}")
         shape = (r.size, len(self.alphas))
         if np.shape(self.quantiles) != shape:
             raise ValueError(f"quantiles must have shape {shape}, got {np.shape(self.quantiles)}")
+        if not np.all(np.isfinite(self.quantiles)):
+            raise ValueError("quantiles must be finite")
 
     def interp(self, r: float, alpha: float) -> float:
         try:
@@ -703,8 +707,8 @@ class CriticalValueTable:
 def check_draw_inputs(p: float, alphas, B: int) -> None:
     """Raise for inputs no B draws of the null law can serve.
 
-    ``UnsupportedFeatureError`` for p = inf, ValueError for p < 1, B < 1 or a
-    level outside (0, 1).  Nothing is built.
+    ``UnsupportedFeatureError`` for p = inf, ValueError for p < 1, B < 1, a
+    level outside (0, 1) or a repeated level.  Nothing is built.
     """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
@@ -712,9 +716,11 @@ def check_draw_inputs(p: float, alphas, B: int) -> None:
         raise ValueError(f"p must be >= 1, got {p:g}")
     if B < 1:
         raise ValueError(f"B must be >= 1, got {B}")
-    for a in alphas:
+    for i, a in enumerate(alphas):
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {a:g}")
+        if a in alphas[:i]:
+            raise ValueError(f"the alphas repeat {a:g}")
 
 
 def check_table_inputs(family: str, p: float, r_grid, alphas, B: int) -> None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from statistics import NormalDist
 
 import numpy as np
@@ -432,6 +433,11 @@ def angular_density(model: Model, p: float, theta):
 # Absolute change of the half-arc totals at which panel doubling stops.
 _LAW_TOL = 1e-8
 
+# Panel counts of the doubling levels, grouped by the sweep that builds them.
+_LEVELS = ((256, 512), (1024,), (2048,), (4096,))
+
+_THETA_CUT = 1e-280  # quadrature cutoff; mass below it is added analytically
+
 # Gauss–Legendre nodes/weights on [0, 1], shared by all panel quadratures.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL_NODES = (_GL_NODES + 1.0) / 2.0
@@ -439,100 +445,65 @@ _GL_WEIGHTS = _GL_WEIGHTS / 2.0
 
 
 def _cumulative(panel: np.ndarray) -> np.ndarray:
-    """Cumulative sums of the panel integrals, starting at 0.
+    """Cumulative sums of the (2, n, 8) panel integrals of both half-arcs,
+    starting at 0.
 
     Panel integrals below the smallest normal float are set to zero: they
     occur where the density underflows (Hüsler–Reiss at small r), carry no
     usable mass, and would make the harmonic-mean knot slopes of
     ``_hermite_table`` overflow.
     """
-    sums = panel.sum(axis=1)
+    sums = panel.sum(axis=2)
     sums[np.abs(sums) < np.finfo(float).tiny] = 0.0
-    return np.concatenate([[0.0], np.cumsum(sums)])
+    return np.hstack([np.zeros((2, 1)), np.cumsum(sums, axis=1)])
 
 
-class _HalfCache:
-    """Cumulative integrals of the angular density over one half-arc.
+def _arc_sweep(model: Model, p: float, counts) -> list:
+    """(s_edges, cum, cum_f, cum_f2) for each panel count n in ``counts``.
 
-    The half [0, pi/4] (lower=True) is parametrized theta = (pi/4) s^kappa;
-    the half [pi/4, pi/2] by the mirror map theta = pi/2 - (pi/4) s^kappa.
-    Cumulatives run from the arc endpoint (0 or pi/2) inward, in s.
-    Three integrands are accumulated in one density sweep: phi, f*phi, f^2*phi.
-    ``sweep`` builds several caches from one sweep over all their nodes.
+    The cumulative integrals of phi, f*phi and f^2*phi are (2, n + 1) arrays:
+    row 0 over [0, pi/4], parametrized theta = (pi/4) s^kappa, and row 1
+    over [pi/4, pi/2] by the mirror map theta = pi/2 - (pi/4) s^kappa.  Both
+    run from their arc endpoint (0 or pi/2) inward, in s, on the same
+    s-edges.  The density is evaluated once, on the nodes of every count and
+    both halves; every operation on them is elementwise, and each half of
+    each count sums its own (n, 8) panels, so a count's tables do not depend
+    on the other counts.
     """
-
-    THETA_CUT = 1e-280  # quadrature cutoff; mass below it is added analytically
-
-    def __init__(self, model, p, lower: bool, n_panels: int):
-        self._fill(model, p, [(self, lower, n_panels)])
-
-    @classmethod
-    def sweep(cls, model, p, parts) -> list:
-        """The cache of each (lower, n_panels) in ``parts``, equal bit for bit
-        to ``_HalfCache(model, p, lower, n_panels)``."""
-        caches = [object.__new__(cls) for _ in parts]
-        cls._fill(model, p, [(c, lower, n) for c, (lower, n) in zip(caches, parts)])
-        return caches
-
-    @classmethod
-    def _fill(cls, model, p, parts) -> None:
-        """Set the tables of each (cache, lower, n_panels) in ``parts``.
-
-        The density is evaluated once on the concatenated nodes of all parts;
-        every operation on them is elementwise, and each part's panel sums run
-        on its own (n_panels, 8) block, so a part's tables do not depend on
-        the others.
-        """
-        kappa = model.endpoint_kappa()
-        tail = model.endpoint_tail_mass(cls.THETA_CUT)
-        s_cut = 0.0
-        if tail > 0.0:
-            s_cut = math.exp(math.log(cls.THETA_CUT / PI_4) / kappa)
-        edges = [np.linspace(s_cut, 1.0, n_panels + 1) for _, _, n_panels in parts]
-        widths = [np.diff(e) for e in edges]
-        s = np.concatenate([(e[:-1, None] + w[:, None] * _GL_NODES[None, :]).ravel()
-                            for e, w in zip(edges, widths)])
-        spans, at = [], 0
-        for _, _, n_panels in parts:
-            spans.append(slice(at, at + 8 * n_panels))
-            at += 8 * n_panels
-        # Distance from the arc endpoint; floored so sin(eps) never underflows
-        # to an exact zero (large kappa drives s^kappa below the float range).
-        eps = np.maximum(PI_4 * np.power(s, kappa), 1e-300)
-        jac = PI_4 * kappa * np.power(s, kappa - 1.0)
-        # Evaluate cos/sin of theta via the mirror identity rather than
-        # forming theta = pi/2 - eps, which would round eps away near the
-        # endpoint and the singular density amplifies that noise.
-        cos_t, sin_t = np.cos(eps), np.sin(eps)
-        for (_, lower, _), span in zip(parts, spans):
-            if not lower:  # theta = pi/2 - eps swaps cos and sin
-                cos_t[span], sin_t[span] = sin_t[span], cos_t[span].copy()
-        dens = lp_norm(p, cos_t, sin_t) / (cos_t * sin_t) * model.exponent_density(cos_t, sin_t) * jac
-        f = (sin_t - cos_t) / lp_norm(p, sin_t, cos_t)
-        for (cache, lower, n_panels), e, width, span in zip(parts, edges, widths, spans):
-            d = dens[span].reshape(n_panels, 8)
-            fd = f[span].reshape(n_panels, 8)
-            w = _GL_WEIGHTS[None, :] * width[:, None]
-            # Seed the cumulatives with the analytic endpoint atom; f is -1 at
-            # theta = 0 and +1 at theta = pi/2.
-            f_end = -1.0 if lower else 1.0
-            cache.kappa = kappa
-            cache.s_edges = e
-            cache.cum = tail + _cumulative(d * w)
-            cache.cum_f = f_end * tail + _cumulative(d * fd * w)
-            cache.cum_f2 = tail + _cumulative(d * fd * fd * w)
-
-    @property
-    def total(self) -> float:
-        return float(self.cum[-1])
-
-    @property
-    def total_f(self) -> float:
-        return float(self.cum_f[-1])
-
-    @property
-    def total_f2(self) -> float:
-        return float(self.cum_f2[-1])
+    kappa = model.endpoint_kappa()
+    tail = model.endpoint_tail_mass(_THETA_CUT)
+    s_cut = 0.0
+    if tail > 0.0:
+        s_cut = math.exp(math.log(_THETA_CUT / PI_4) / kappa)
+    edges = [np.linspace(s_cut, 1.0, n + 1) for n in counts]
+    widths = [np.diff(e) for e in edges]
+    s = np.concatenate([(e[:-1, None] + w[:, None] * _GL_NODES[None, :]).ravel()
+                        for e, w in zip(edges, widths)])
+    # Distance from the arc endpoint; floored so sin(eps) never underflows
+    # to an exact zero (large kappa drives s^kappa below the float range).
+    eps = np.maximum(PI_4 * np.power(s, kappa), 1e-300)
+    jac = PI_4 * kappa * np.power(s, kappa - 1.0)
+    # The upper half's theta = pi/2 - eps swaps cos and sin; taking them from
+    # eps rather than forming theta keeps eps from being rounded away near the
+    # endpoint, where the singular density amplifies that noise.
+    c, sn = np.cos(eps), np.sin(eps)
+    cos_t, sin_t = np.concatenate([c, sn]), np.concatenate([sn, c])
+    norm = lp_norm(p, cos_t, sin_t)
+    dens = (norm / (cos_t * sin_t) * model.exponent_density(cos_t, sin_t)).reshape(2, -1) * jac
+    f = ((sin_t - cos_t) / norm).reshape(2, -1)
+    # Seed the cumulatives with the analytic endpoint atom; f is -1 at
+    # theta = 0 and +1 at theta = pi/2.
+    f_end = np.array([[-1.0], [1.0]])
+    out, at = [], 0
+    for e, width in zip(edges, widths):
+        n = len(width)
+        d = dens[:, at:at + 8 * n].reshape(2, n, 8)
+        fd = f[:, at:at + 8 * n].reshape(2, n, 8)
+        w = _GL_WEIGHTS[None, :] * width[:, None]
+        out.append((e, tail + _cumulative(d * w), f_end * tail + _cumulative(d * fd * w),
+                    tail + _cumulative(d * fd * fd * w)))
+        at += 8 * n
+    return out
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -570,28 +541,14 @@ def _hermite_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[:-1], y[:-1], d[:-1], (m - d[:-1]) / h - cubic, cubic / h])
 
 
-def _half_arc_table(x, lower_cum, upper_cum, total) -> np.ndarray:
-    """Joined tables of a cumulative over [0, theta], lower half first; rows
-    (offset, sign) turn the upper half's cumulative into ``total`` minus it."""
+def _half_arc_table(x, cum, total) -> np.ndarray:
+    """Joined tables of a cumulative over [0, theta] from its (2, n + 1)
+    half-arc rows, lower half first; rows (offset, sign) turn the upper
+    half's cumulative into ``total`` minus it."""
     n = len(x) - 1
-    lower = np.vstack([_hermite_table(x, lower_cum), np.zeros(n), np.ones(n)])
-    upper = np.vstack([_hermite_table(x, upper_cum), np.full(n, total), -np.ones(n)])
+    lower = np.vstack([_hermite_table(x, cum[0]), np.zeros(n), np.ones(n)])
+    upper = np.vstack([_hermite_table(x, cum[1]), np.full(n, total), -np.ones(n)])
     return np.hstack([lower, upper])
-
-
-def _doubling_levels(model: Model, p: float):
-    """(lower, upper) ``_HalfCache`` pairs at 256, 512, ..., 4096 panels.
-
-    Every law evaluates the first two levels, so their four half-arcs come
-    from one density sweep.  A later level is built only when the previous
-    one did not converge, one half-arc at a time.
-    """
-    lower_256, upper_256, lower_512, upper_512 = _HalfCache.sweep(
-        model, p, [(True, 256), (False, 256), (True, 512), (False, 512)])
-    yield lower_256, upper_256
-    yield lower_512, upper_512
-    for n_panels in (1024, 2048, 4096):
-        yield _HalfCache(model, p, True, n_panels), _HalfCache(model, p, False, n_panels)
 
 
 class AngularLaw:
@@ -601,9 +558,8 @@ class AngularLaw:
     moments of f under Q, and the total mass.  Construction runs the panel
     quadrature with doubling refinement until the total-mass estimate is
     stable to ``_LAW_TOL`` (absolute).  No law stops before 512 panels, so
-    both half-arcs at 256 and 512 panels come from one density sweep
-    (``_HalfCache.sweep``); the tables equal those of four separate
-    ``_HalfCache`` builds bit for bit.
+    the 256- and 512-panel levels come from one ``_arc_sweep``, and each
+    later level from one more, built only when needed.
     """
 
     def __init__(self, model: Model, p: float):
@@ -611,10 +567,9 @@ class AngularLaw:
         self.p = p
         prev = None
         achieved = math.inf
-        for lower, upper in _doubling_levels(model, p):
-            totals = np.array(
-                [lower.total, upper.total, lower.total_f, upper.total_f]
-            )
+        levels = chain.from_iterable(_arc_sweep(model, p, counts) for counts in _LEVELS)
+        for edges, cum, cum_f, cum_f2 in levels:
+            totals = np.concatenate([cum[:, -1], cum_f[:, -1]])
             if prev is not None:
                 achieved = float(np.max(np.abs(totals - prev)))
                 if achieved < _LAW_TOL:
@@ -624,7 +579,8 @@ class AngularLaw:
             raise QuadratureError(
                 f"angular CDF quadrature did not converge for {model}", achieved
             )
-        self.total_mass = lower.total + upper.total
+        self.total_mass, total_f, total_f2 = (
+            float(c[0, -1] + c[1, -1]) for c in (cum, cum_f, cum_f2))
         # The total angular mass always lies in [1, 2]; anything outside means
         # the quadrature missed mass sitting below float resolution (the
         # measure is effectively atomic at the endpoints for parameters very
@@ -634,18 +590,14 @@ class AngularLaw:
                 f"implausible angular total mass {self.total_mass} for {model}",
                 achieved,
             )
-        total_f = lower.total_f + upper.total_f
-        total_f2 = lower.total_f2 + upper.total_f2
         self.mean_f = total_f / self.total_mass
         self.var_f = max(total_f2 / self.total_mass - self.mean_f**2, 0.0)
-        # Both halves share the s-edges: kappa and the cutoff depend on the model.
-        edges = lower.s_edges
         self._n_cells = len(edges) - 1
         self._s0 = edges[0]
         self._inv_ds = self._n_cells / (1.0 - edges[0])
-        self._inv_kappa = 1.0 / lower.kappa
-        self._cdf_table = _half_arc_table(edges, lower.cum, upper.cum, self.total_mass)
-        self._f_table = _half_arc_table(edges, lower.cum_f, upper.cum_f, total_f)
+        self._inv_kappa = 1.0 / model.endpoint_kappa()
+        self._cdf_table = _half_arc_table(edges, cum, self.total_mass)
+        self._f_table = _half_arc_table(edges, cum_f, total_f)
 
     def _eval(self, table, theta):
         """Evaluate a ``_half_arc_table`` at angles theta in [0, pi/2]."""

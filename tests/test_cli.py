@@ -208,9 +208,10 @@ class TestCommands:
          (["--p", "inf"], "p = inf is not supported by the limit-law simulator"),
          (["--p", "0.5"], "p must be >= 1, got 0.5"),
          (["--seed", "-1"], "--seed must be at least 0, got -1"),
-         (["--r-grid", "1,1"], "the r grid repeats 1")],
+         (["--r-grid", "1,1"], "the r grid repeats 1"),
+         (["--alpha", "0.9,0.9"], "the alphas repeat 0.9")],
         ids=["r-outside-family", "B0", "alpha1", "p-inf", "p-half", "seed-negative",
-             "r-repeated"],
+             "r-repeated", "alpha-repeated"],
     )
     def test_quantiles_inputs_checked_before_any_build(self, monkeypatch, capsys, args, reason):
         from angular_gof import limitlaw

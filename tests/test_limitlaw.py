@@ -36,6 +36,7 @@ from angular_gof import geometry as g
 from angular_gof import limitlaw as ll
 from angular_gof._lru import ByteLRU
 from angular_gof.geometry import WeightKind
+from angular_gof.limitlaw import keyed_rng
 from angular_gof.models import HuslerReissModel, LogisticModel, get_law
 
 import limitlaw_oracle as lo
@@ -247,8 +248,8 @@ class TestSimulatorPipeline:
     def test_draw_is_weighted_abs_integral(self):
         model = HuslerReissModel(1.0)
         sim = ll.LimitLawSimulator(model, 2.0, TINY)
-        x = lo.draw_X(sim, ll.block_rng(5, 0))
-        val = lo.draw(sim, WeightKind.CONSTANT, ll.block_rng(5, 0))
+        x = lo.draw_X(sim, ll.keyed_rng(5, 0))
+        val = lo.draw(sim, WeightKind.CONSTANT, ll.keyed_rng(5, 0))
         # constant weight: exact cell integrals are just dtheta
         assert val == pytest.approx(float(np.abs(x).sum() * PI_2 / TINY.N), rel=1e-12)
 
@@ -272,7 +273,7 @@ class TestSimulatorPipeline:
         weights = (WeightKind.CONSTANT, WeightKind.INV_SQRT_PI4)
         draws = [ll.simulate_L(model, 2.0, grid, q, 3, base_seed=4) for q in weights]
         np.testing.assert_array_equal(built[0]._F, built[-1]._F)
-        eps = ll.block_rng(4, 0).standard_normal((64, grid.N))[:3]
+        eps = ll.keyed_rng(4, 0).standard_normal((64, grid.N))[:3]
         abs_x = np.abs(eps @ built[0]._F.T)
         for q, got in zip(weights, draws):
             np.testing.assert_allclose(got, abs_x @ lo.q_cells(q, grid), rtol=1e-12)
@@ -452,13 +453,13 @@ class TestDraws:
             np.testing.assert_array_equal(a[:B], b)
 
     def test_replicate_is_row_of_its_block(self):
-        # replicate b is row b % 64 of the normals block_rng(seed, b // 64) fills
+        # replicate b is row b % 64 of the normals keyed_rng(seed, b // 64) fills
         model = HuslerReissModel(1.0)
         draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=9)
         sim = ll.LimitLawSimulator(model, 2.0, TINY)
         q_cells = lo.q_cells(WeightKind.CONSTANT, TINY)
         for b in (0, 63, 64, 70, 129):
-            eps = ll.block_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
+            eps = ll.keyed_rng(9, b // 64).standard_normal((64, TINY.N))[b % 64]
             expect = float(np.abs(sim._F @ eps) @ q_cells)
             assert draws[b] == pytest.approx(expect, rel=1e-12)
 
@@ -468,8 +469,6 @@ class TestDraws:
             expect = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(entropy=seed, spawn_key=key))).standard_normal(50)
             np.testing.assert_array_equal(ll.keyed_rng(seed, *key).standard_normal(50), expect)
-            if len(key) == 1:
-                np.testing.assert_array_equal(ll.block_rng(seed, *key).standard_normal(50), expect)
 
     def test_negative_seed_rejected_before_any_build(self, monkeypatch):
         monkeypatch.setattr(ll, "LimitLawSimulator", _no_build)
@@ -519,13 +518,13 @@ class TestNormalsMemo:
     @pytest.fixture
     def rng_calls(self, monkeypatch):
         calls = []
-        real = ll.block_rng
+        real = ll.keyed_rng
 
         def counting(base_seed, block):
             calls.append((base_seed, block))
             return real(base_seed, block)
 
-        monkeypatch.setattr(ll, "block_rng", counting)
+        monkeypatch.setattr(ll, "keyed_rng", counting)
         return calls
 
     def test_same_seed_and_N_draws_no_new_normals(self, memo, rng_calls, monkeypatch):
@@ -550,7 +549,7 @@ class TestNormalsMemo:
         assert rng_calls == [(21, 0), (21, 1), (21, 2), (21, 3)]
         assert len(memo.blocks) == 4
         for j, block in enumerate(memo.blocks):
-            np.testing.assert_array_equal(block, ll.block_rng(21, j).standard_normal((64, TINY.N)))
+            np.testing.assert_array_equal(block, ll.keyed_rng(21, j).standard_normal((64, TINY.N)))
         monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(0))  # keeps no block
         _fresh_draws(monkeypatch)
         np.testing.assert_array_equal(
@@ -596,7 +595,8 @@ class TestNormalsMemo:
         # the old normals are dropped before the simulator is built
         assert held == [[]]
         assert memo.key == (25, TINY.N) and len(memo.blocks) == 1
-        np.testing.assert_array_equal(memo.blocks[0], ll.keyed_rng(25, 0).standard_normal((64, TINY.N)))
+        # keyed_rng as imported, so rng_calls does not count this reference draw
+        np.testing.assert_array_equal(memo.blocks[0], keyed_rng(25, 0).standard_normal((64, TINY.N)))
         assert not np.array_equal(memo.blocks[0], old)
         ll.simulate_L(model, 2.0, SMALL, WeightKind.CONSTANT, 64, base_seed=25)
         assert memo.key == (25, SMALL.N) and memo.blocks[0].shape == (64, SMALL.N)
@@ -655,6 +655,29 @@ class TestCriticalValueTable:
     def test_load_rejects_an_unknown_family(self, tmp_path):
         with pytest.raises(ValueError, match=r"^unknown family 'gumbel'$"):
             self._load_edited(tmp_path, family="gumbel")
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"alphas": [1.5, 1.5, 0.3]}, r"^alpha must lie in \(0, 1\), got 1\.5$"),
+        ({"alphas": [0.9, 0.9]}, r"^the alphas repeat 0\.9$"),
+        ({"B": -3}, r"^B must be >= 1, got -3$"),
+        ({"p": math.nan}, r"^p must be >= 1, got nan$"),
+        ({"seed": -4}, r"^seed must be at least 0, got -4$"),
+        ({"grid": [math.nan, 22, 16]}, r"^grid h must be positive and finite, got nan$"),
+        ({"grid": [0.1, 22.5, 16]}, r"^grid M must be an integer >= 3, got 22\.5$"),
+        ({"grid": [0.1, 22, 16.0]}, r"^grid N must be an integer >= 2, got 16\.0$"),
+        ({"quantiles": [[math.nan, 1.0], [1.0, 1.0], [1.0, 1.0]]}, r"^quantiles must be finite$"),
+    ], ids=["alphas-range", "alphas-repeated", "B", "p", "seed", "grid-h", "grid-M", "grid-N",
+            "quantiles"])
+    def test_load_rejects_a_malformed_field(self, tmp_path, fields, message):
+        with pytest.raises(ValueError, match=message):
+            self._load_edited(tmp_path, **fields)
+
+    @pytest.mark.parametrize("h,M,N", [(math.nan, 200, 500), (math.inf, 200, 500), (0.0, 200, 500),
+                                       (0.05, 200.5, 500), (0.05, 200, 500.0), (0.05, 2, 500),
+                                       (0.05, 200, 1)])
+    def test_field_grid_rejects_a_malformed_grid(self, h, M, N):
+        with pytest.raises(ValueError, match=r"^grid [hMN] must be"):
+            ll.FieldGrid(h, M, N)
 
     def test_constructor_checks_too(self):
         table = self._table()

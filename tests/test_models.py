@@ -7,8 +7,9 @@ Key oracles:
   - total angular mass vs. direct adaptive quadrature of the raw density
   - the moment identity E_Q[f] = 0 (the true angular measure satisfies the
     constraint the Euclidean weights enforce)
-  - the law built from one density sweep over several half-arcs and levels
-    against one ``_HalfCache`` per half-arc and level, bit for bit
+  - the law built from one density sweep over both half-arcs and several
+    levels against one ``models_oracle.half_arc`` per half-arc and level,
+    bit for bit
 """
 
 import math
@@ -16,6 +17,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from angular_gof import models as md
 from angular_gof import geometry as g
 
 import datagen_oracle as do
+import models_oracle as mo
 
 PI_2 = math.pi / 2.0
 PI_4 = math.pi / 4.0
@@ -427,8 +430,8 @@ def _pchip_oracle(law, theta, moment: bool):
     scipy's PCHIP on the same s-edges and half-arc cumulative tables."""
     from scipy.interpolate import PchipInterpolator
 
-    lower = md._HalfCache(law.model, law.p, True, law._n_cells)
-    upper = md._HalfCache(law.model, law.p, False, law._n_cells)
+    lower = mo.half_arc(law.model, law.p, True, law._n_cells)
+    upper = mo.half_arc(law.model, law.p, False, law._n_cells)
     cum_lo, cum_up = (lower.cum_f, upper.cum_f) if moment else (lower.cum, upper.cum)
     low = theta <= PI_4
     dist = np.where(low, theta, PI_2 - theta)
@@ -449,7 +452,7 @@ class TestPchipOracle:
     )
     def test_cdf_and_f_integral_match_pchip(self, family, r, p):
         law = md.AngularLaw(md.make_model(family, r), p)
-        edges = md._HalfCache(law.model, p, True, law._n_cells).s_edges
+        edges = mo.half_arc(law.model, p, True, law._n_cells).s_edges
         theta_edges = PI_4 * edges ** law.model.endpoint_kappa()
         theta = np.concatenate([
             [0.0, 1e-300, PI_4, PI_2],
@@ -466,14 +469,14 @@ class TestPchipOracle:
 
 
 def _per_level_law(model, p):
-    """The AngularLaw construction with one ``_HalfCache`` per half-arc and
+    """The AngularLaw construction with one ``half_arc`` per half-arc and
     level: (n_cells, total_mass, var_f, cdf table, f table), or the
     QuadratureError it raises."""
     prev = None
     achieved = math.inf
     for n_panels in (256, 512, 1024, 2048, 4096):
-        lower = md._HalfCache(model, p, True, n_panels)
-        upper = md._HalfCache(model, p, False, n_panels)
+        lower = mo.half_arc(model, p, True, n_panels)
+        upper = mo.half_arc(model, p, False, n_panels)
         totals = np.array([lower.total, upper.total, lower.total_f, upper.total_f])
         if prev is not None:
             achieved = float(np.max(np.abs(totals - prev)))
@@ -488,8 +491,8 @@ def _per_level_law(model, p):
     var_f = max((lower.total_f2 + upper.total_f2) / total_mass - mean_f**2, 0.0)
     edges = lower.s_edges
     return (n_panels, total_mass, var_f,
-            md._half_arc_table(edges, lower.cum, upper.cum, total_mass),
-            md._half_arc_table(edges, lower.cum_f, upper.cum_f, total_f))
+            md._half_arc_table(edges, np.stack([lower.cum, upper.cum]), total_mass),
+            md._half_arc_table(edges, np.stack([lower.cum_f, upper.cum_f]), total_f))
 
 
 # HR r = 0.001 and 1.45 and logistic r = 0.002 stop at 1024 panels, logistic
@@ -535,23 +538,35 @@ class TestLawSweep:
     @pytest.mark.parametrize("family,r", [("hr", 1.45), ("logistic", 0.002)])
     def test_levels_are_the_per_level_half_caches(self, family, r):
         model = md.make_model(family, r)
-        levels = md._doubling_levels(model, 2.0)
-        for n_panels, (lower, upper) in zip((256, 512, 1024), levels):
-            for cache, low in ((lower, True), (upper, False)):
-                alone = md._HalfCache(model, 2.0, low, n_panels)
-                assert cache.s_edges.size == n_panels + 1
-                np.testing.assert_array_equal(cache.cum, alone.cum)
-                np.testing.assert_array_equal(cache.cum_f, alone.cum_f)
+        levels = chain.from_iterable(md._arc_sweep(model, 2.0, counts) for counts in md._LEVELS)
+        for n_panels, (edges, cum, cum_f, _) in zip((256, 512, 1024), levels):
+            assert edges.size == n_panels + 1
+            for row, lower in ((0, True), (1, False)):
+                alone = mo.half_arc(model, 2.0, lower, n_panels)
+                np.testing.assert_array_equal(cum[row], alone.cum)
+                np.testing.assert_array_equal(cum_f[row], alone.cum_f)
 
     @pytest.mark.parametrize("family,r", SWEEP_CASES)
     def test_sweep_parts_equal_single_half_caches(self, family, r):
         model = md.make_model(family, r)
-        parts = [(True, 256), (False, 512), (False, 256), (True, 1024)]
-        for cache, (lower, n_panels) in zip(md._HalfCache.sweep(model, 2.0, parts), parts):
-            alone = md._HalfCache(model, 2.0, lower, n_panels)
-            assert cache.kappa == alone.kappa
-            for name in ("s_edges", "cum", "cum_f", "cum_f2"):
-                np.testing.assert_array_equal(getattr(cache, name), getattr(alone, name))
+        counts = (512, 256, 1024)
+        for n_panels, (edges, *cums) in zip(counts, md._arc_sweep(model, 2.0, counts)):
+            for row, lower in ((0, True), (1, False)):
+                alone = mo.half_arc(model, 2.0, lower, n_panels)
+                np.testing.assert_array_equal(edges, alone.s_edges)
+                for got, expect in zip(cums, (alone.cum, alone.cum_f, alone.cum_f2)):
+                    np.testing.assert_array_equal(got[row], expect)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("family,r", SWEEP_CASES)
+    def test_joint_sweep_equals_separate_sweeps(self, family, r, p):
+        model = md.make_model(family, r)
+        joint = md._arc_sweep(model, p, (256, 512))
+        separate = md._arc_sweep(model, p, (256,)) + md._arc_sweep(model, p, (512,))
+        assert len(joint) == len(separate) == 2
+        for got, expect in zip(joint, separate):
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestByteLRU:
