@@ -35,15 +35,18 @@ on, and b_k vanishes beyond the largest W_2 index the row reaches.  On the
 paper grid (logistic r = 0.5, p = 2) a - a_pi and b are 7 % nonzero, and
 their blocks of 64 rows keep 10.7 % and 9.6 % of the dense tables.
 ``LimitLawSimulator`` assembles Sigma exactly from those blocks, cut to
-their widest support, from prefix sums of the cell masses over the nested
-sets C_{p,theta}, and from one rank-3 update per side for the map to X, and
-keeps the lower Cholesky factor F of Sigma + delta I, delta = 1e-11 max
-diag(Sigma) (Sigma is positive semidefinite and nearly singular, so the
-jitter makes the factorization succeed; Rasmussen & Williams 2006, Gaussian
-Processes for Machine Learning, App. A.2).  The cell masses are symmetric
-bit for bit, so one pass of row prefix sums gives the set masses per row
-and per column.  q has no part in Sigma, so one factor per (model, p,
-grid) serves both weights.  A draw is X = F eps with eps ~ N(0, I_N).
+their widest support, and from prefix sums of the cell masses over the
+nested sets C_{p,theta}.  The map to X needs three rows of the covariance
+of alpha_ext only, and is applied in one pass of tiles written into the
+buffer of the block products, so Sigma is exactly symmetric and the map
+holds no temporary larger than a tile.  The simulator keeps the lower
+Cholesky factor F of Sigma + delta I, delta = 1e-11 max diag(Sigma) (Sigma
+is positive semidefinite and nearly singular, so the jitter makes the
+factorization succeed; Rasmussen & Williams 2006, Gaussian Processes for
+Machine Learning, App. A.2).  The cell masses are symmetric bit for bit,
+so one pass of row prefix sums gives the set masses per row and per
+column.  q has no part in Sigma, so one factor per (model, p, grid) serves
+both weights.  A draw is X = F eps with eps ~ N(0, I_N).
 ``simulate_L`` draws replicates in blocks of 64: block j fills its 64 x N
 matrix of eps row by row from one generator keyed by (base_seed, j), and
 replicate b is row b % 64 of block b // 64, so its value depends on
@@ -374,29 +377,10 @@ def _set_masses(masses: np.ndarray, grid: FieldGrid, p: float, i11: int):
     return u, v, in_block
 
 
-def _to_X(sigma: np.ndarray, Q, int_f, f_prime_c, total_mass, grad_Q) -> np.ndarray:
-    """Map the covariance of (alpha(theta_1..N), alpha(pi/2), I) to that of X.
-
-    X = (alpha - Q alpha(pi/2) + int_f w - total_mass grad_Q I) / total_mass
-    with w = f_prime_c . (alpha - Q alpha(pi/2)) (the beta step, the gamma
-    step with f_prime_c = dtheta f' / sigma_Q^2(f), and the gradient term):
-    the identity plus the rank-3 product of U = (-Q, int_f, -total_mass
-    grad_Q) and (alpha(pi/2), w, I).  Applied to the rows of ``sigma`` and
-    then to the columns of the result, each side one GEMV for w and one
-    rank-3 update, in place; returns the N x N view.
-    """
-    n = Q.size
-    U = np.stack([-Q, int_f, -total_mass * grad_Q], axis=1)
-    fq = float(f_prime_c @ Q)
-    rows = sigma[:n]
-    w = f_prime_c @ rows - fq * sigma[n]
-    rows += U @ np.stack([sigma[n], w, sigma[n + 1]])
-    rows /= total_mass
-    out = sigma[:n, :n]
-    w = out @ f_prime_c - fq * sigma[:n, n]
-    out += np.stack([sigma[:n, n], w, sigma[:n, n + 1]], axis=1) @ U.T
-    out /= total_mass
-    return out
+# Rows and columns per tile of the map to X in _covariance.  A 96 x 96 tile
+# of doubles is 72 KiB, below glibc's 128 KiB mmap threshold, so the pass
+# reuses heap memory instead of mapping and faulting in fresh pages.
+_TILE = 96
 
 
 def _covariance(model: Model, p: float, grid: FieldGrid) -> np.ndarray:
@@ -410,13 +394,29 @@ def _covariance(model: Model, p: float, grid: FieldGrid) -> np.ndarray:
     overflow cell b_r(j) alone.  With u and v the set masses per row and
     column (``_set_masses``, times s_r),
 
-        Sigma_alpha = sym(a (masses b' + u + D_row a' / 2) + b (v + D_col b' / 2)) + K,
+        Sigma_alpha = P + P' + K,  P = a (masses b' + u + D_row a' / 2) + b (v + D_col b' / 2),
 
-    where sym(A) = A + A' and K holds the set-set terms: the sets C are
-    nested, so mass(S_k & S_l) = set_mass[min(k, l)].  The strip tables are
+    where K holds the set-set terms: the sets C are nested, so
+    mass(S_k & S_l) = set_mass[min(k, l)].  The strip tables are
     staircases, a = A + e a_pi (e the indicator of the alpha rows) and b = B,
     so each product runs block by block over the nonzero columns of A and B
     only, and a_pi enters as one GEMV.
+
+    X = (alpha + U z) / total_mass on the theta grid, with U = (-Q, int_f,
+    -total_mass grad_Q), z = (alpha(pi/2), w, I), w = f'(alpha - Q
+    alpha(pi/2)) and f' = dtheta f' / sigma_Q^2(f) (the beta and gamma steps
+    and the gradient term).  So the map needs only Z = Cov(z, alpha_ext),
+    three rows of Sigma_alpha, each P's row plus P's column plus K's row (K f'
+    is a prefix sum, as set_mass does not decrease).  With C = Cov(z, z), on
+    the theta grid,
+
+        total_mass^2 Sigma_X = P + P' + K + [U | Z' + U C] [Z ; U'],
+
+    a rank-6 update, written into P's own buffer one pair of tiles (I <= J)
+    at a time.  The (J, I) tile is computed, since it lies in the lower
+    triangle that the Cholesky factorization reads, and the (I, J) tile is
+    its transpose, so Sigma_X is exactly symmetric, and no temporary is
+    larger than a tile.
     """
     if math.isinf(p):
         raise UnsupportedFeatureError("p = inf is not supported by the limit-law simulator")
@@ -444,29 +444,49 @@ def _covariance(model: Model, p: float, grid: FieldGrid) -> np.ndarray:
         v[:wb, k0:k1] += 0.5 * col_tot[:wb, None] * B.T
     u[:, : N + 1] += (0.5 * row_tot * tables.a_pi)[:, None]
     del masses
-    sigma = np.empty((R, R))
+    P = np.empty((R, R))
     for k0, A, B in tables.blocks:
         k1 = k0 + A.shape[0]
-        np.matmul(A, u[: A.shape[1]], out=sigma[k0:k1])
-        sigma[k0:k1] += B @ v[: B.shape[1]]
-    sigma[: N + 1] += tables.a_pi @ u
+        np.matmul(A, u[: A.shape[1]], out=P[k0:k1])
+        P[k0:k1] += B @ v[: B.shape[1]]
+    P[: N + 1] += tables.a_pi @ u
     del u, v
-    sigma += sigma.T.copy()
-    sigma[: N + 1, : N + 1] += np.minimum.outer(set_mass, set_mass)
-    sigma[: N + 1, N + 1] -= g * set_in_block
-    sigma[N + 1, : N + 1] -= g * set_in_block
-    sigma[N + 1, N + 1] += g * g * block_mass
 
     law = get_law(model, p)
     theta = grid.theta_grid()
-    return _to_X(
-        sigma,
-        law.normalized_cdf(theta),
-        law.f_integral(theta),
-        (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f,
-        law.total_mass,
-        grad_normalized_cdf(model, p, theta),
-    )
+    Q = law.normalized_cdf(theta)
+    fp = (PI_2 / N) * geometry.constraint_f_prime(p, theta) / law.var_f
+    T = law.total_mass
+    U = np.stack([-Q, law.f_integral(theta), -T * grad_normalized_cdf(model, p, theta)], axis=1)
+    # Z, K's part first; its middle row is f' alpha until the last step.
+    Z = np.empty((3, R))
+    Z[0, : N + 1] = set_mass
+    Z[2, : N + 1] = -g * set_in_block
+    Z[:, N + 1] = -g * set_in_block[N], -g * (fp @ set_in_block[:N]), g * g * block_mass
+    cum_fs = np.cumsum(fp * set_mass[:N])
+    cum_f = np.cumsum(fp)
+    Z[1, :N] = cum_fs + set_mass[:N] * (cum_f[-1] - cum_f)
+    Z[1, N] = cum_fs[-1]
+    Z[[0, 2]] += P[[N, N + 1]] + P[:, [N, N + 1]].T
+    Z[1] += fp @ P[:N] + P[:, :N] @ fp
+    fq = float(fp @ Q)
+    Z[1] -= fq * Z[0]
+    C = np.stack([Z[:, N], Z[:, :N] @ fp - fq * Z[:, N], Z[:, N + 1]], axis=1)
+    left = np.hstack([U, Z[:, :N].T + U @ C])
+    right = np.vstack([Z[:, :N], U.T])
+    for i0 in range(0, N, _TILE):
+        i = slice(i0, min(i0 + _TILE, N))
+        for j0 in range(i0, N, _TILE):
+            j = slice(j0, min(j0 + _TILE, N))
+            tile = P[j, i] + P[i, j].T
+            tile += np.minimum.outer(set_mass[j], set_mass[i])
+            tile += left[j] @ right[:, i]
+            tile /= T * T
+            if i0 == j0:
+                tile = np.tril(tile) + np.tril(tile, -1).T
+            P[j, i] = tile
+            P[i, j] = tile.T
+    return P[:N, :N]
 
 
 # Diagonal jitter of the Cholesky factorization, relative to max diag(Sigma).
@@ -631,9 +651,10 @@ class CriticalValueTable:
 
     Quantile values are quantized to 12 significant digits at construction so
     that a table written to disk and read back reproduces decisions exactly.
-    An unknown family, inputs ``check_draw_inputs`` rejects, a negative seed,
-    an r grid that is not strictly increasing and finite, or quantiles not
-    finite and of shape (len(r_grid), len(alphas)) raise ValueError.
+    An unknown family, a B or seed that is not an integer, inputs
+    ``check_draw_inputs`` rejects, a negative seed, an r grid that is not
+    strictly increasing and finite, or quantiles not finite and of shape
+    (len(r_grid), len(alphas)) raise ValueError.
     """
 
     family: str
@@ -648,6 +669,10 @@ class CriticalValueTable:
 
     def __post_init__(self):
         family_class(self.family)
+        for name, least in (("B", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         check_draw_inputs(self.p, self.alphas, self.B)
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed}")

@@ -445,17 +445,17 @@ _GL_WEIGHTS = _GL_WEIGHTS / 2.0
 
 
 def _cumulative(panel: np.ndarray) -> np.ndarray:
-    """Cumulative sums of the (2, n, 8) panel integrals of both half-arcs,
-    starting at 0.
+    """Cumulative sums of the (n, 8) panel integrals of a half-arc, starting
+    at 0.
 
     Panel integrals below the smallest normal float are set to zero: they
     occur where the density underflows (Hüsler–Reiss at small r), carry no
     usable mass, and would make the harmonic-mean knot slopes of
     ``_hermite_table`` overflow.
     """
-    sums = panel.sum(axis=2)
+    sums = panel.sum(axis=1)
     sums[np.abs(sums) < np.finfo(float).tiny] = 0.0
-    return np.hstack([np.zeros((2, 1)), np.cumsum(sums, axis=1)])
+    return np.concatenate([[0.0], np.cumsum(sums)])
 
 
 def _arc_sweep(model: Model, p: float, counts) -> list:
@@ -465,10 +465,13 @@ def _arc_sweep(model: Model, p: float, counts) -> list:
     row 0 over [0, pi/4], parametrized theta = (pi/4) s^kappa, and row 1
     over [pi/4, pi/2] by the mirror map theta = pi/2 - (pi/4) s^kappa.  Both
     run from their arc endpoint (0 or pi/2) inward, in s, on the same
-    s-edges.  The density is evaluated once, on the nodes of every count and
-    both halves; every operation on them is elementwise, and each half of
-    each count sums its own (n, 8) panels, so a count's tables do not depend
-    on the other counts.
+    s-edges.  The upper half swaps cos and sin, and ``exponent_density`` and
+    ``lp_norm`` are symmetric in their arguments bit for bit, so it has the
+    lower half's density and f negated: only the lower half is evaluated,
+    and row 1 of cum and cum_f2 is row 0, and row 1 of cum_f is minus row 0.
+    The density is evaluated once, on the nodes of every count; every
+    operation on them is elementwise, and each count sums its own (n, 8)
+    panels, so a count's tables do not depend on the other counts.
     """
     kappa = model.endpoint_kappa()
     tail = model.endpoint_tail_mass(_THETA_CUT)
@@ -483,25 +486,24 @@ def _arc_sweep(model: Model, p: float, counts) -> list:
     # to an exact zero (large kappa drives s^kappa below the float range).
     eps = np.maximum(PI_4 * np.power(s, kappa), 1e-300)
     jac = PI_4 * kappa * np.power(s, kappa - 1.0)
-    # The upper half's theta = pi/2 - eps swaps cos and sin; taking them from
-    # eps rather than forming theta keeps eps from being rounded away near the
-    # endpoint, where the singular density amplifies that noise.
+    # Taking cos and sin from eps rather than forming theta keeps eps from
+    # being rounded away near the endpoint, where the singular density
+    # amplifies that noise.
     c, sn = np.cos(eps), np.sin(eps)
-    cos_t, sin_t = np.concatenate([c, sn]), np.concatenate([sn, c])
-    norm = lp_norm(p, cos_t, sin_t)
-    dens = (norm / (cos_t * sin_t) * model.exponent_density(cos_t, sin_t)).reshape(2, -1) * jac
-    f = ((sin_t - cos_t) / norm).reshape(2, -1)
-    # Seed the cumulatives with the analytic endpoint atom; f is -1 at
-    # theta = 0 and +1 at theta = pi/2.
-    f_end = np.array([[-1.0], [1.0]])
+    norm = lp_norm(p, c, sn)
+    dens = norm / (c * sn) * model.exponent_density(c, sn) * jac
+    f = (sn - c) / norm
+    # The analytic endpoint atom seeds the cumulatives; f is -1 at theta = 0.
     out, at = [], 0
     for e, width in zip(edges, widths):
         n = len(width)
-        d = dens[:, at:at + 8 * n].reshape(2, n, 8)
-        fd = f[:, at:at + 8 * n].reshape(2, n, 8)
+        d = dens[at:at + 8 * n].reshape(n, 8)
+        fd = f[at:at + 8 * n].reshape(n, 8)
         w = _GL_WEIGHTS[None, :] * width[:, None]
-        out.append((e, tail + _cumulative(d * w), f_end * tail + _cumulative(d * fd * w),
-                    tail + _cumulative(d * fd * fd * w)))
+        cum = tail + _cumulative(d * w)
+        cum_f = -tail + _cumulative(d * fd * w)
+        cum_f2 = tail + _cumulative(d * fd * fd * w)
+        out.append((e, np.stack([cum, cum]), np.stack([cum_f, -cum_f]), np.stack([cum_f2, cum_f2])))
         at += 8 * n
     return out
 

@@ -13,9 +13,10 @@ Oracles:
   - F F' of the Cholesky factor against the assembled covariance, and E[L]
     from the row norms of F against E[L] from its diagonal, over a sweep of
     both families
-  - the staircase assembly (strip tables, set masses, covariance) against
-    the dense assembly it replaced (``limitlaw_oracle.dense_covariance``),
-    on the desk and paper grids
+  - the staircase assembly (strip tables, set masses, covariance) and the
+    tiled map to X against the dense assembly and map they replaced
+    (``limitlaw_oracle.dense_covariance``), on the desk and paper grids and
+    on a grid whose N is not a multiple of the tile
   - the cell masses mirrored across the diagonal against every cell
     evaluated (``limitlaw_oracle.full_cell_masses``), bit for bit
   - draws from memoized normal blocks against draws from a fresh memo and
@@ -44,6 +45,7 @@ import limitlaw_oracle as lo
 PI_2 = math.pi / 2.0
 TINY = ll.FieldGrid(h=0.1, M=22, N=16)
 SMALL = ll.FieldGrid(h=0.05, M=60, N=40)
+ODD_GRID = ll.FieldGrid(h=0.05, M=137, N=301)
 
 
 class TestMasses:
@@ -314,6 +316,22 @@ class TestStaircaseAssembly:
                              ids=lambda m: m.family)
     def test_paper_covariance_matches_dense(self, model):
         self._assert_close(model, 2.0, ll.PAPER_GRID)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    def test_partial_tiles_match_dense(self, model, p):
+        """N = 301 is not a multiple of the tile, so the last row and column
+        of tiles are partial."""
+        assert ODD_GRID.N % ll._TILE != 0
+        self._assert_close(model, p, ODD_GRID)
+
+    @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
+                             ids=lambda m: m.family)
+    @pytest.mark.parametrize("grid", [ll.DESK_GRID, ll.PAPER_GRID], ids=["desk", "paper"])
+    def test_covariance_is_exactly_symmetric(self, grid, model):
+        sigma = ll._covariance(model, 2.0, grid)
+        assert np.array_equal(sigma, sigma.T)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("model", [LogisticModel(0.5), HuslerReissModel(1.0)],
@@ -666,8 +684,10 @@ class TestCriticalValueTable:
         ({"grid": [0.1, 22.5, 16]}, r"^grid M must be an integer >= 3, got 22\.5$"),
         ({"grid": [0.1, 22, 16.0]}, r"^grid N must be an integer >= 2, got 16\.0$"),
         ({"quantiles": [[math.nan, 1.0], [1.0, 1.0], [1.0, 1.0]]}, r"^quantiles must be finite$"),
+        ({"B": 2.5}, r"^B must be an integer >= 1, got 2\.5$"),
+        ({"seed": 1.5}, r"^seed must be an integer >= 0, got 1\.5$"),
     ], ids=["alphas-range", "alphas-repeated", "B", "p", "seed", "grid-h", "grid-M", "grid-N",
-            "quantiles"])
+            "quantiles", "B-not-integer", "seed-not-integer"])
     def test_load_rejects_a_malformed_field(self, tmp_path, fields, message):
         with pytest.raises(ValueError, match=message):
             self._load_edited(tmp_path, **fields)

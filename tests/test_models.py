@@ -9,7 +9,8 @@ Key oracles:
     constraint the Euclidean weights enforce)
   - the law built from one density sweep over both half-arcs and several
     levels against one ``models_oracle.half_arc`` per half-arc and level,
-    bit for bit
+    bit for bit (the sweep mirrors the lower half-arc, so the exponent
+    density and the L_p norm are checked to be symmetric bit for bit)
 """
 
 import math
@@ -119,6 +120,21 @@ class TestDensities:
         assert md.HuslerReissModel(1.0).exponent_density(1.0, 1.0) == pytest.approx(
             norm.pdf(1.0) / 2.0, rel=1e-14
         )
+
+    @pytest.mark.parametrize("family,r", [("hr", 0.001), ("hr", 1.0), ("hr", 8.0),
+                                          ("logistic", 0.001), ("logistic", 0.5),
+                                          ("logistic", 1.0 - 1e-9), ("logistic", 1.0)])
+    def test_density_and_norm_are_symmetric_bit_for_bit(self, family, r):
+        """``_arc_sweep`` takes the upper half-arc as the mirror of the lower
+        one; that holds only if swapping the arguments changes no bit."""
+        model = md.make_model(family, r)
+        eps = np.geomspace(1e-300, PI_4, 400)
+        rng = np.random.default_rng(3)
+        x = np.concatenate([np.cos(eps), np.exp(rng.uniform(-7.0, 7.0, 400))])
+        y = np.concatenate([np.sin(eps), np.exp(rng.uniform(-7.0, 7.0, 400))])
+        np.testing.assert_array_equal(model.exponent_density(x, y), model.exponent_density(y, x))
+        for p in (1.0, 2.0, 3.5, math.inf):
+            np.testing.assert_array_equal(g.lp_norm(p, x, y), g.lp_norm(p, y, x))
 
     @pytest.mark.parametrize(
         "model",
