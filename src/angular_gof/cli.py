@@ -47,9 +47,10 @@ def ingest_csv(path) -> tuple[np.ndarray, list]:
 
     A non-numeric first row is treated as a header; missing/blank fields
     become NaN.  A row whose field count differs from the first row's, or a
-    field that is not a number, raises ValueError naming its line.
+    field that is not a number, raises ValueError naming its line.  A UTF-8
+    byte-order mark is dropped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row and any(f.strip() for f in row)]
     if not rows:

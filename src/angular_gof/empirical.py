@@ -38,46 +38,38 @@ def compute_ranks(sample: np.ndarray) -> np.ndarray:
     """Per-margin ranks in {1..n}; ties broken by order of appearance.
 
     The first occurrence of a tied value receives the smaller rank, which
-    keeps runs deterministic on real data with rounding ties.  Each column is
-    ordered by numpy's default (unstable) sort; only a column whose sorted
-    values have equal neighbours is sorted again with the stable sort.
-    Without ties the order is unique, so the ranks are those of the stable
-    sort either way.
+    keeps runs deterministic on real data with rounding ties.
+    """
+    return _rank(sample)[0]
+
+
+def _rank(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``compute_ranks`` of ``sample`` and, per margin, which neighbours of
+    its values in rank order are equal: an (n, 2) rank array and a (2, n - 1)
+    boolean array.
+
+    Each column is ordered by numpy's default (unstable) sort; only a column
+    whose sorted values have equal neighbours is sorted again with the
+    stable sort.  Without ties the order is unique, so the ranks are those of
+    the stable sort either way; the sorted values are the same in both.
     """
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 2 or sample.shape[1] != 2 or sample.shape[0] < 2:
         raise ValueError("sample must be an (n, 2) array with n >= 2")
     if np.any(np.isnan(sample)):
         raise ValueError("sample contains NaN entries")
+    n = sample.shape[0]
     ranks = np.empty_like(sample, dtype=np.int64)
+    equal = np.empty((2, n - 1), dtype=bool)
     for j in range(2):
         col = sample[:, j]
         order = np.argsort(col)
         ordered = col[order]
-        if np.any(ordered[1:] == ordered[:-1]):
+        np.equal(ordered[1:], ordered[:-1], out=equal[j])
+        if equal[j].any():
             order = np.argsort(col, kind="stable")
-        ranks[order, j] = np.arange(1, sample.shape[0] + 1)
-    return ranks
-
-
-def _ranked_ties(sample: np.ndarray, ranks: np.ndarray, k: int) -> tuple[int, tuple]:
-    """Number of tied (duplicated) values across both margins, from the ranks
-    of ``sample`` without another sort, and per margin the number of tied
-    values at ranks above n - k.
-
-    Each column is put in rank order and its equal neighbours are counted; a
-    pair counts towards the top k when its upper value has a rank above
-    n - k, so a tie across the threshold rank counts too.
-    """
-    n = sample.shape[0]
-    ordered = np.empty(n)
-    total, top = 0, []
-    for j in range(2):
-        ordered[ranks[:, j] - 1] = sample[:, j]
-        equal = ordered[1:] == ordered[:-1]
-        total += int(np.count_nonzero(equal))
-        top.append(int(np.count_nonzero(equal[n - k - 1:])))
-    return total, tuple(top)
+        ranks[order, j] = np.arange(1, n + 1)
+    return ranks, equal
 
 
 @dataclass
@@ -138,13 +130,20 @@ def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     """
     sample = np.asarray(sample, dtype=float)
     _check_k(sample.shape[0], k)
-    return _exceedances(sample, compute_ranks(sample), k, p)
+    return _exceedances(*_rank(sample), k, p)
 
 
-def _exceedances(sample: np.ndarray, ranks: np.ndarray, k: int, p: float) -> AngularDataset:
-    """``select_exceedances`` on ranks already computed from ``sample``."""
+def _exceedances(ranks: np.ndarray, equal: np.ndarray, k: int, p: float) -> AngularDataset:
+    """``select_exceedances`` on the ranks and equal neighbours of ``_rank``.
+
+    ``n_ties`` counts the equal neighbours of both margins; per margin,
+    ``top_ties`` counts those whose upper value has a rank above n - k, so a
+    tie across the threshold rank counts too.
+    """
     s = _survivors(ranks)
-    n_ties, top_ties = _ranked_ties(sample, ranks, k)
+    n = ranks.shape[0]
+    n_ties = int(np.count_nonzero(equal))
+    top_ties = tuple(int(np.count_nonzero(row[n - k - 1:])) for row in equal)
     if math.isinf(p):
         mask = np.minimum(s[:, 0], s[:, 1]) <= k
     else:
@@ -190,8 +189,8 @@ def angular_dataset(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     """
     sample = np.asarray(sample, dtype=float)
     _check_k(sample.shape[0], k)
-    ranks = compute_ranks(sample)
-    ds = _exceedances(sample, ranks, k, p)
+    ranks, equal = _rank(sample)
+    ds = _exceedances(ranks, equal, k, p)
     ds.ell_hat_11 = _stdf(ranks, k, 1.0, 1.0)
     if ds.degenerate:
         return ds

@@ -12,9 +12,10 @@ unit sphere.
 The angular CDF has no closed form; it is integrated once per (family, r, p)
 by composite Gauss–Legendre panels under an endpoint substitution that tames
 the density singularity (logistic density ~ theta^(1/r - 2) near the axes).
-The cumulative integrals of both half-arcs share their panel edges in the
-substitution variable, so one table of monotone cubic Hermite coefficients
-per cumulative, indexed by panel and half, evaluates the CDF at any angle.
+Both families are exchangeable, so the angular measure is symmetric about
+pi/4: the cumulative integrals are kept on the lower half-arc [0, pi/4] only,
+one table of monotone cubic Hermite coefficients per cumulative, indexed by
+panel, and an angle above pi/4 is looked up at its mirror image.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def angular_density(model: Model, p: float, theta):
     return out[()] if np.ndim(out) == 0 else out
 
 
-# Absolute change of the half-arc totals at which panel doubling stops.
+# Absolute change of the lower half-arc totals at which panel doubling stops.
 _LAW_TOL = 1e-8
 
 # Panel counts of the doubling levels, grouped by the sweep that builds them.
@@ -459,16 +460,15 @@ def _cumulative(panel: np.ndarray) -> np.ndarray:
 
 
 def _arc_sweep(model: Model, p: float, counts) -> list:
-    """(s_edges, cum, cum_f, cum_f2) for each panel count n in ``counts``.
+    """(s_edges, cum, cum_f, total_f2) for each panel count n in ``counts``.
 
-    The cumulative integrals of phi, f*phi and f^2*phi are (2, n + 1) arrays:
-    row 0 over [0, pi/4], parametrized theta = (pi/4) s^kappa, and row 1
-    over [pi/4, pi/2] by the mirror map theta = pi/2 - (pi/4) s^kappa.  Both
-    run from their arc endpoint (0 or pi/2) inward, in s, on the same
-    s-edges.  The upper half swaps cos and sin, and ``exponent_density`` and
-    ``lp_norm`` are symmetric in their arguments bit for bit, so it has the
-    lower half's density and f negated: only the lower half is evaluated,
-    and row 1 of cum and cum_f2 is row 0, and row 1 of cum_f is minus row 0.
+    cum and cum_f are the (n + 1,) cumulative integrals of phi and f*phi over
+    the lower half-arc [0, pi/4], parametrized theta = (pi/4) s^kappa and run
+    from theta = 0 inward, in s; total_f2 is the integral of f^2*phi over it.
+    The upper half-arc swaps cos and sin, and ``exponent_density`` and
+    ``lp_norm`` are symmetric in their arguments bit for bit, so under the
+    mirror map theta = pi/2 - (pi/4) s^kappa it has the same cumulatives of
+    phi and f^2*phi and that of f*phi negated.
     The density is evaluated once, on the nodes of every count; every
     operation on them is elementwise, and each count sums its own (n, 8)
     panels, so a count's tables do not depend on the other counts.
@@ -500,10 +500,8 @@ def _arc_sweep(model: Model, p: float, counts) -> list:
         d = dens[at:at + 8 * n].reshape(n, 8)
         fd = f[at:at + 8 * n].reshape(n, 8)
         w = _GL_WEIGHTS[None, :] * width[:, None]
-        cum = tail + _cumulative(d * w)
-        cum_f = -tail + _cumulative(d * fd * w)
-        cum_f2 = tail + _cumulative(d * fd * fd * w)
-        out.append((e, np.stack([cum, cum]), np.stack([cum_f, -cum_f]), np.stack([cum_f2, cum_f2])))
+        out.append((e, tail + _cumulative(d * w), -tail + _cumulative(d * fd * w),
+                    tail + _cumulative(d * fd * fd * w)[-1]))
         at += 8 * n
     return out
 
@@ -543,25 +541,18 @@ def _hermite_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([x[:-1], y[:-1], d[:-1], (m - d[:-1]) / h - cubic, cubic / h])
 
 
-def _half_arc_table(x, cum, total) -> np.ndarray:
-    """Joined tables of a cumulative over [0, theta] from its (2, n + 1)
-    half-arc rows, lower half first; rows (offset, sign) turn the upper
-    half's cumulative into ``total`` minus it."""
-    n = len(x) - 1
-    lower = np.vstack([_hermite_table(x, cum[0]), np.zeros(n), np.ones(n)])
-    upper = np.vstack([_hermite_table(x, cum[1]), np.full(n, total), -np.ones(n)])
-    return np.hstack([lower, upper])
-
-
 class AngularLaw:
     """Cached angular measure of a model on the L_p arc.
 
     Exposes the unnormalized CDF Phi, the probability CDF Q, the partial
-    moments of f under Q, and the total mass.  Construction runs the panel
-    quadrature with doubling refinement until the total-mass estimate is
-    stable to ``_LAW_TOL`` (absolute).  No law stops before 512 panels, so
-    the 256- and 512-panel levels come from one ``_arc_sweep``, and each
-    later level from one more, built only when needed.
+    moments of f under Q, the total mass and the variance var_f of f under
+    Q.  Construction runs the panel quadrature with doubling refinement until
+    the lower half-arc totals of phi and f*phi are stable to ``_LAW_TOL``
+    (absolute).  No law stops before 512 panels, so the 256- and 512-panel
+    levels come from one ``_arc_sweep``, and each later level from one more,
+    built only when needed.  The measure is symmetric about pi/4, so the
+    tables hold the lower half-arc only: the total mass is twice its mass,
+    and E_Q[f] is exactly 0.
     """
 
     def __init__(self, model: Model, p: float):
@@ -570,8 +561,8 @@ class AngularLaw:
         prev = None
         achieved = math.inf
         levels = chain.from_iterable(_arc_sweep(model, p, counts) for counts in _LEVELS)
-        for edges, cum, cum_f, cum_f2 in levels:
-            totals = np.concatenate([cum[:, -1], cum_f[:, -1]])
+        for edges, cum, cum_f, total_f2 in levels:
+            totals = np.array([cum[-1], cum_f[-1]])
             if prev is not None:
                 achieved = float(np.max(np.abs(totals - prev)))
                 if achieved < _LAW_TOL:
@@ -581,8 +572,7 @@ class AngularLaw:
             raise QuadratureError(
                 f"angular CDF quadrature did not converge for {model}", achieved
             )
-        self.total_mass, total_f, total_f2 = (
-            float(c[0, -1] + c[1, -1]) for c in (cum, cum_f, cum_f2))
+        self.total_mass = float(cum[-1] + cum[-1])
         # The total angular mass always lies in [1, 2]; anything outside means
         # the quadrature missed mass sitting below float resolution (the
         # measure is effectively atomic at the endpoints for parameters very
@@ -592,50 +582,52 @@ class AngularLaw:
                 f"implausible angular total mass {self.total_mass} for {model}",
                 achieved,
             )
-        self.mean_f = total_f / self.total_mass
-        self.var_f = max(total_f2 / self.total_mass - self.mean_f**2, 0.0)
+        self.var_f = float((total_f2 + total_f2) / self.total_mass)
         self._n_cells = len(edges) - 1
         self._s0 = edges[0]
         self._inv_ds = self._n_cells / (1.0 - edges[0])
         self._inv_kappa = 1.0 / model.endpoint_kappa()
-        self._cdf_table = _half_arc_table(edges, cum, self.total_mass)
-        self._f_table = _half_arc_table(edges, cum_f, total_f)
+        self._cdf_table = _hermite_table(edges, cum)
+        self._f_table = _hermite_table(edges, cum_f)
 
     def _eval(self, table, theta):
-        """Evaluate a ``_half_arc_table`` at angles theta in [0, pi/2]."""
+        """Evaluate a lower half-arc ``_hermite_table`` at the distance of
+        each angle theta in [0, pi/2] from the nearer arc end."""
         theta = np.asarray(theta, dtype=float)
         # NaN fails both comparisons; as a cell index it would be INT_MIN.
         if not np.all((theta >= -1e-12) & (theta <= PI_2 + 1e-12)):
             raise ValueError("theta must lie in [0, pi/2]")
-        # s of the distance from the nearer arc end; below the quadrature
-        # cutoff the cumulative equals the endpoint atom.
+        # Below the quadrature cutoff the cumulative equals the endpoint atom.
         dist = np.maximum(np.minimum(theta, PI_2 - theta), 0.0)
         s = np.maximum(np.power(dist / PI_4, self._inv_kappa), self._s0)
-        n = self._n_cells
-        cell = np.minimum(((s - self._s0) * self._inv_ds).astype(np.intp), n - 1)
-        x, y, d, c, e, offset, sign = np.take(table, cell + n * (theta > PI_4), axis=1)
+        cell = np.minimum(((s - self._s0) * self._inv_ds).astype(np.intp), self._n_cells - 1)
+        x, y, d, c, e = np.take(table, cell, axis=1)
         t = s - x
         t2 = t * t
-        # Summed in the order of scipy's PPoly, and exact for the lower half
-        # (0 + 1 v = v), so G keeps the rounding of PCHIP on the same tables.
-        out = offset + sign * (y + d * t + c * t2 + e * (t2 * t))
-        return out[()] if out.ndim == 0 else out
+        # Summed in the order of scipy's PPoly, so G keeps the rounding of
+        # PCHIP on the same tables.
+        return y + d * t + c * t2 + e * (t2 * t)
 
     def cdf(self, theta):
-        """Unnormalized angular CDF Phi_{p,r}(theta), vectorized."""
-        return self._eval(self._cdf_table, theta)
+        """Unnormalized angular CDF Phi_{p,r}(theta), vectorized; above pi/4
+        it is the total mass less Phi at the mirror angle pi/2 - theta."""
+        theta = np.asarray(theta, dtype=float)
+        out = self._eval(self._cdf_table, theta)
+        out = np.where(theta > PI_4, self.total_mass - out, out)
+        return out[()] if out.ndim == 0 else out
 
     def normalized_cdf(self, theta):
         """Angular probability CDF Q_{p,r}(theta)."""
         return self.cdf(theta) / self.total_mass
 
     def f_integral(self, theta):
-        """Cumulative moment int_0^theta f dQ, vectorized."""
+        """Cumulative moment int_0^theta f dQ, vectorized.  f is odd about
+        pi/4, so the moment is even about it: no mirror term is needed."""
         return self._eval(self._f_table, theta) / self.total_mass
 
 
-# Bytes of Hermite tables the law cache may hold: 292 laws of 512 cells
-# (112 KiB each), 36 of 4,096.
+# Bytes of Hermite tables the law cache may hold: 819 laws of 512 cells
+# (40 KiB each), 102 of 4,096.
 _LAW_CACHE_BYTES = 32 * 2**20
 _LAWS = ByteLRU(_LAW_CACHE_BYTES)
 

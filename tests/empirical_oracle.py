@@ -1,7 +1,7 @@
 """Reference tie count: one ``np.unique`` per margin.
 
-``empirical._ranked_ties`` counts the same ties from the ranks it already
-has, without another sort; the tests compare the two.
+``empirical._rank`` counts the same ties from the equal neighbours of its
+ranking sort, without another sort; the tests compare the two.
 """
 
 from __future__ import annotations

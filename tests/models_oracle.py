@@ -3,9 +3,10 @@
 ``half_arc(model, p, lower, n_panels)`` integrates the angular density over
 [0, pi/4] (lower) or [pi/4, pi/2] with its own density evaluation, by the
 same substitution, Gauss–Legendre panels and endpoint atom as the package.
-The package builds both halves of several panel counts from one sweep
-(``models._arc_sweep``); the tests hold each of its tables to this
-construction bit for bit.
+The package builds the lower half of several panel counts from one sweep
+(``models._arc_sweep``) and mirrors it for the upper half; the tests hold
+each of its tables to this construction bit for bit, and check that the
+upper half mirrors the lower one bit for bit.
 """
 
 from __future__ import annotations

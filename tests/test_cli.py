@@ -34,6 +34,21 @@ class TestIngest:
         assert names == ["col0", "col1"]
         assert arr.shape == (2, 2)
 
+    def test_byte_order_mark_headerless(self, tmp_path):
+        # the mark must not make the first data row a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5,2.5\n3.5,4.5\n")
+        arr, names = cli.ingest_csv(path)
+        assert names == ["col0", "col1"]
+        np.testing.assert_array_equal(arr, [[1.5, 2.5], [3.5, 4.5]])
+
+    def test_byte_order_mark_header(self, tmp_path):
+        path = tmp_path / "bom_header.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1.0,2.0\n3.0,4.0\n")
+        arr, names = cli.ingest_csv(path)
+        assert names == ["a", "b"]
+        np.testing.assert_array_equal(arr, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_missing_values(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("x,y\n1.0,\n,2.0\n3.0,NA\n4.0,5.0\n")

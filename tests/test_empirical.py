@@ -207,14 +207,15 @@ class TestPipeline:
         assert np.all(np.diff(ds.angles) >= 0)
 
     def test_ranks_computed_once(self, monkeypatch):
+        # one ranking sort serves the exceedances, the ties and ell_hat
         calls = []
-        real = emp.compute_ranks
+        real = emp._rank
 
         def counting(sample):
             calls.append(1)
             return real(sample)
 
-        monkeypatch.setattr(emp, "compute_ranks", counting)
+        monkeypatch.setattr(emp, "_rank", counting)
         emp.angular_dataset(_rng(9).normal(size=(400, 2)), 20, 2.0)
         assert len(calls) == 1
 

@@ -7,10 +7,11 @@ Key oracles:
   - total angular mass vs. direct adaptive quadrature of the raw density
   - the moment identity E_Q[f] = 0 (the true angular measure satisfies the
     constraint the Euclidean weights enforce)
-  - the law built from one density sweep over both half-arcs and several
-    levels against one ``models_oracle.half_arc`` per half-arc and level,
-    bit for bit (the sweep mirrors the lower half-arc, so the exponent
-    density and the L_p norm are checked to be symmetric bit for bit)
+  - the law built from one density sweep over the lower half-arc and
+    several levels against one ``models_oracle.half_arc`` per half-arc and
+    level, bit for bit (the law keeps the lower half-arc only, so the
+    oracle's upper half is checked to mirror it bit for bit, and the
+    exponent density and the L_p norm to be symmetric bit for bit)
 """
 
 import math
@@ -125,7 +126,7 @@ class TestDensities:
                                           ("logistic", 0.001), ("logistic", 0.5),
                                           ("logistic", 1.0 - 1e-9), ("logistic", 1.0)])
     def test_density_and_norm_are_symmetric_bit_for_bit(self, family, r):
-        """``_arc_sweep`` takes the upper half-arc as the mirror of the lower
+        """``AngularLaw`` takes the upper half-arc as the mirror of the lower
         one; that holds only if swapping the arguments changes no bit."""
         model = md.make_model(family, r)
         eps = np.geomspace(1e-300, PI_4, 400)
@@ -358,9 +359,16 @@ class TestAngularLaw:
         "model", [md.LogisticModel(0.5), md.LogisticModel(0.8), md.HuslerReissModel(1.0)]
     )
     def test_moment_constraint_holds(self, model):
-        # The true angular probability measure satisfies E_Q[f] = 0.
+        # The true angular probability measure satisfies E_Q[f] = 0, so var_f
+        # is E_Q[f^2]; oracle: scipy.integrate.quad of the raw density.
         law = md.get_law(model, 2.0)
-        assert law.mean_f == pytest.approx(0.0, abs=1e-9)
+
+        def moment(power):
+            return quad(lambda t: g.constraint_f(2.0, t) ** power * md.angular_density(model, 2.0, t),
+                        0.0, PI_2, points=[PI_4], limit=200)[0] / law.total_mass
+
+        assert moment(1) == pytest.approx(0.0, abs=1e-9)
+        assert law.var_f == pytest.approx(moment(2), rel=1e-8)
         assert law.var_f > 0.0
 
     def test_cdf_properties(self):
@@ -486,13 +494,14 @@ class TestPchipOracle:
 
 def _per_level_law(model, p):
     """The AngularLaw construction with one ``half_arc`` per half-arc and
-    level: (n_cells, total_mass, var_f, cdf table, f table), or the
-    QuadratureError it raises."""
+    level, both halves' totals tested and summed: (n_cells, total_mass,
+    var_f, lower ``HalfArc``), or the QuadratureError it raises."""
     prev = None
     achieved = math.inf
     for n_panels in (256, 512, 1024, 2048, 4096):
         lower = mo.half_arc(model, p, True, n_panels)
         upper = mo.half_arc(model, p, False, n_panels)
+        _assert_upper_mirrors_lower(lower, upper)
         totals = np.array([lower.total, upper.total, lower.total_f, upper.total_f])
         if prev is not None:
             achieved = float(np.max(np.abs(totals - prev)))
@@ -502,13 +511,19 @@ def _per_level_law(model, p):
     else:
         return md.QuadratureError(f"angular CDF quadrature did not converge for {model}", achieved)
     total_mass = lower.total + upper.total
-    total_f = lower.total_f + upper.total_f
-    mean_f = total_f / total_mass
+    mean_f = (lower.total_f + upper.total_f) / total_mass
     var_f = max((lower.total_f2 + upper.total_f2) / total_mass - mean_f**2, 0.0)
-    edges = lower.s_edges
-    return (n_panels, total_mass, var_f,
-            md._half_arc_table(edges, np.stack([lower.cum, upper.cum]), total_mass),
-            md._half_arc_table(edges, np.stack([lower.cum_f, upper.cum_f]), total_f))
+    return n_panels, total_mass, var_f, lower
+
+
+def _assert_upper_mirrors_lower(lower, upper):
+    """The premise of the one-half-arc law: the upper half-arc's cumulatives
+    of phi and f^2*phi are the lower one's, and that of f*phi its negation,
+    bit for bit."""
+    np.testing.assert_array_equal(upper.s_edges, lower.s_edges)
+    np.testing.assert_array_equal(upper.cum, lower.cum)
+    np.testing.assert_array_equal(upper.cum_f, -lower.cum_f)
+    np.testing.assert_array_equal(upper.cum_f2, lower.cum_f2)
 
 
 # HR r = 0.001 and 1.45 and logistic r = 0.002 stop at 1024 panels, logistic
@@ -520,20 +535,22 @@ SWEEP_CASES = [("hr", 0.001), ("hr", 1.0), ("hr", 1.45), ("hr", 8.0),
 
 
 class TestLawSweep:
-    """The 256- and 512-panel levels of both half-arcs come from one density
-    sweep; the law must equal the per-level construction bit for bit."""
+    """The 256- and 512-panel levels of the lower half-arc come from one
+    density sweep; the law must equal the per-level construction from both
+    half-arcs bit for bit, with tables of the lower half-arc alone."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("family,r", SWEEP_CASES)
     def test_law_equals_per_level_half_caches(self, family, r, p):
         model = md.make_model(family, r)
         law = md.AngularLaw(model, p)
-        n_cells, total_mass, var_f, cdf_table, f_table = _per_level_law(model, p)
+        n_cells, total_mass, var_f, lower = _per_level_law(model, p)
         assert law._n_cells == n_cells
         assert law.total_mass == total_mass
         assert law.var_f == var_f
-        np.testing.assert_array_equal(law._cdf_table, cdf_table)
-        np.testing.assert_array_equal(law._f_table, f_table)
+        assert law._cdf_table.shape == law._f_table.shape == (5, n_cells)
+        np.testing.assert_array_equal(law._cdf_table, md._hermite_table(lower.s_edges, lower.cum))
+        np.testing.assert_array_equal(law._f_table, md._hermite_table(lower.s_edges, lower.cum_f))
 
     def test_cases_cover_three_panel_counts(self):
         cells = {md.AngularLaw(md.make_model(f, r), 2.0)._n_cells for f, r in SWEEP_CASES}
@@ -557,21 +574,22 @@ class TestLawSweep:
         levels = chain.from_iterable(md._arc_sweep(model, 2.0, counts) for counts in md._LEVELS)
         for n_panels, (edges, cum, cum_f, _) in zip((256, 512, 1024), levels):
             assert edges.size == n_panels + 1
-            for row, lower in ((0, True), (1, False)):
-                alone = mo.half_arc(model, 2.0, lower, n_panels)
-                np.testing.assert_array_equal(cum[row], alone.cum)
-                np.testing.assert_array_equal(cum_f[row], alone.cum_f)
+            lower = mo.half_arc(model, 2.0, True, n_panels)
+            np.testing.assert_array_equal(cum, lower.cum)
+            np.testing.assert_array_equal(cum_f, lower.cum_f)
+            _assert_upper_mirrors_lower(lower, mo.half_arc(model, 2.0, False, n_panels))
 
     @pytest.mark.parametrize("family,r", SWEEP_CASES)
     def test_sweep_parts_equal_single_half_caches(self, family, r):
         model = md.make_model(family, r)
         counts = (512, 256, 1024)
-        for n_panels, (edges, *cums) in zip(counts, md._arc_sweep(model, 2.0, counts)):
-            for row, lower in ((0, True), (1, False)):
-                alone = mo.half_arc(model, 2.0, lower, n_panels)
-                np.testing.assert_array_equal(edges, alone.s_edges)
-                for got, expect in zip(cums, (alone.cum, alone.cum_f, alone.cum_f2)):
-                    np.testing.assert_array_equal(got[row], expect)
+        for n_panels, (edges, cum, cum_f, total_f2) in zip(counts, md._arc_sweep(model, 2.0, counts)):
+            lower = mo.half_arc(model, 2.0, True, n_panels)
+            np.testing.assert_array_equal(edges, lower.s_edges)
+            np.testing.assert_array_equal(cum, lower.cum)
+            np.testing.assert_array_equal(cum_f, lower.cum_f)
+            assert total_f2 == lower.total_f2
+            _assert_upper_mirrors_lower(lower, mo.half_arc(model, 2.0, False, n_panels))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("family,r", SWEEP_CASES)
@@ -631,5 +649,5 @@ class TestByteLRU:
         law = md.get_law(md.make_model("logistic", 0.5), 2.0)
         assert md._LAWS.get((md.LogisticModel(0.5), 2.0), lambda: None) is law
         n = law._cdf_table.shape[1]
-        assert md._LAWS.nbytes >= 2 * 7 * n * 8
+        assert md._LAWS.nbytes >= 2 * 5 * n * 8
         assert md._LAWS.nbytes <= md._LAW_CACHE_BYTES
