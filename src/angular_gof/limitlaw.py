@@ -52,9 +52,10 @@ matrix of eps row by row from one generator keyed by (base_seed, j), and
 replicate b is row b % 64 of block b // 64, so its value depends on
 neither B nor the thread count.  The blocks of the latest (base_seed, N)
 are kept, up to 32 MiB, so draws at another model with the same seed (the
-pairs driver's common random numbers) reuse the normals and pay only for
-the products.  The draws are kept by the whole input of ``simulate_L``, so
-a repeated call returns the same read-only array; factors are not kept.
+common random numbers of the pairs driver's pairs and of a critical value
+table's r nodes) reuse the normals and pay only for the products.  The
+draws are kept by the whole input of ``simulate_L``, so a repeated call
+returns the same read-only array; factors are not kept.
 """
 
 from __future__ import annotations
@@ -547,11 +548,11 @@ class _NormalsMemo:
     """The normals of the latest (base_seed, N): block j is the 64 x N
     matrix that ``keyed_rng(base_seed, j)`` fills row by row, kept read-only.
 
-    The pairs driver draws every pair at one seed, so later draws at other
-    models reuse the blocks.  ``use`` with another key drops them (critical
-    value tables take a new seed per node, so older keys would not be hit
-    again).  Blocks past ``limit`` bytes are drawn at each request and not
-    kept.
+    The pairs driver draws every pair, and a critical value table every r
+    node, at one seed, so later draws at other models reuse the blocks.
+    ``use`` with another key drops them (each command draws at one seed, so
+    older keys would not be hit again).  Blocks past ``limit`` bytes are
+    drawn at each request and not kept.
     """
 
     def __init__(self, limit: int):
@@ -628,10 +629,11 @@ def _draw(model: Model, p: float, grid: FieldGrid, q: WeightKind, B: int, base_s
 
 
 def quantile(draws: np.ndarray, alpha: float) -> float:
-    """ceil(alpha * B)-th order statistic of the draws."""
+    """ceil(alpha * B)-th order statistic of the draws, with alpha * B
+    rounded to 9 decimals (0.55 * 100 is 55.00000000000001 in floating point)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rank = max(math.ceil(alpha * np.size(draws)), 1)
+    rank = max(math.ceil(round(alpha * np.size(draws), 9)), 1)
     return float(np.sort(draws)[rank - 1])
 
 
@@ -640,18 +642,13 @@ def p_value(draws: np.ndarray, t: float) -> float:
     return float(np.count_nonzero(np.asarray(draws) >= t)) / np.size(draws)
 
 
-def _round_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits (table quantization)."""
-    return float(f"{x:.{digits}g}")
-
-
 @dataclass
 class CriticalValueTable:
     """Quantiles of L on a parameter grid, linearly interpolated in r.
 
-    Quantile values are quantized to 12 significant digits at construction so
-    that a table written to disk and read back reproduces decisions exactly.
-    An unknown family, a B or seed that is not an integer, inputs
+    JSON writes each float as its shortest exact repr, so a table written by
+    ``save`` and read back by ``load`` reproduces every decision.  An
+    unknown family, a B or seed that is not an integer, inputs
     ``check_draw_inputs`` rejects, a negative seed, an r grid that is not
     strictly increasing and finite, or quantiles not finite and of shape
     (len(r_grid), len(alphas)) raise ValueError.
@@ -776,8 +773,10 @@ def critical_value_table(
 ) -> CriticalValueTable:
     """Simulate L on an r grid and tabulate the requested quantiles.
 
-    Replicate streams are keyed by (seed, r-index, b) so the table is
-    deterministic and independent of scheduling.  The inputs are checked by
+    Every node draws at the command's own seed, so the row of node r is
+    ``quantile(simulate_L(make_model(family, r), p, grid, q, B,
+    base_seed=seed), a)``, whatever the other nodes are, and the nodes share
+    their normals as the pairs driver's pairs do.  The inputs are checked by
     ``check_table_inputs``, and seed < 0 raises ValueError, before any
     simulator is built.
     """
@@ -789,9 +788,8 @@ def critical_value_table(
     quants = np.empty((r_grid.size, len(alphas)))
     for i, r in enumerate(r_grid):
         model = make_model(family, float(r))
-        draws = simulate_L(model, p, grid, q, B, base_seed=seed * 1_000_003 + i)
-        for j, a in enumerate(alphas):
-            quants[i, j] = _round_sig(quantile(draws, a))
+        draws = simulate_L(model, p, grid, q, B, base_seed=seed)
+        quants[i] = [quantile(draws, a) for a in alphas]
     return CriticalValueTable(
         family=family, p=p, grid=grid, q=q, r_grid=r_grid,
         alphas=alphas, B=B, seed=seed, quantiles=quants,

@@ -592,7 +592,9 @@ class AngularLaw:
 
     def _eval(self, table, theta):
         """Evaluate a lower half-arc ``_hermite_table`` at the distance of
-        each angle theta in [0, pi/2] from the nearer arc end."""
+        each angle theta in [0, pi/2] from the nearer arc end, and give 0 at
+        theta >= pi/2: nothing lies beyond pi/2, its atom included, so the
+        CDF reaches the total mass and the f moment 0 there."""
         theta = np.asarray(theta, dtype=float)
         # NaN fails both comparisons; as a cell index it would be INT_MIN.
         if not np.all((theta >= -1e-12) & (theta <= PI_2 + 1e-12)):
@@ -606,7 +608,7 @@ class AngularLaw:
         t2 = t * t
         # Summed in the order of scipy's PPoly, so G keeps the rounding of
         # PCHIP on the same tables.
-        return y + d * t + c * t2 + e * (t2 * t)
+        return np.where(theta >= PI_2, 0.0, y + d * t + c * t2 + e * (t2 * t))
 
     def cdf(self, theta):
         """Unnormalized angular CDF Phi_{p,r}(theta), vectorized; above pi/4

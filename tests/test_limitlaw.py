@@ -23,6 +23,8 @@ Oracles:
     from a memo that keeps no block, bit for bit
   - draws served by the draws cache against a cold-cache computation, bit
     for bit
+  - each critical-value table row against the quantiles of a direct
+    ``simulate_L`` call at the table's seed, bit for bit
 """
 
 import json
@@ -509,6 +511,8 @@ class TestDraws:
         assert ll.quantile(values, 0.5) == 3.0  # ceil(2.5) = 3rd order stat
         assert ll.quantile(values, 0.9) == 5.0
         assert ll.quantile(values, 0.2) == 1.0
+        # 0.55 * 100 is 55.00000000000001 in floating point; the rank is 55
+        assert ll.quantile(np.arange(1.0, 101.0), 0.55) == 55.0
         with pytest.raises(ValueError):
             ll.quantile(values, 1.0)
 
@@ -620,6 +624,12 @@ class TestNormalsMemo:
         assert memo.key == (25, SMALL.N) and memo.blocks[0].shape == (64, SMALL.N)
         assert rng_calls == [(24, 0), (24, 1), (24, 2), (25, 0), (25, 0)]  # seed 25 at each N
 
+    def test_table_nodes_share_the_normals(self, memo, rng_calls):
+        # every node draws at the table's seed, so only the first draws normals
+        ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT, [0.8, 1.0, 1.2], (0.95,),
+                                130, seed=26)
+        assert rng_calls == [(26, 0), (26, 1), (26, 2)]
+
 
 class TestCriticalValueTable:
     def _table(self):
@@ -712,11 +722,31 @@ class TestCriticalValueTable:
     def test_quantiles_match_direct_simulation(self):
         table = self._table()
         draws = ll.simulate_L(
-            LogisticModel(0.5), 2.0, TINY, WeightKind.INV_SQRT_PI4, 64,
-            base_seed=11 * 1_000_003 + 1,
+            LogisticModel(0.5), 2.0, TINY, WeightKind.INV_SQRT_PI4, 64, base_seed=11,
         )
-        expect = float(f"{ll.quantile(draws, 0.95):.12g}")
-        assert table.interp(0.5, 0.95) == expect
+        assert table.interp(0.5, 0.95) == ll.quantile(draws, 0.95)
+
+    def test_node_row_does_not_depend_on_the_other_nodes(self, monkeypatch):
+        _fresh_draws(monkeypatch)
+        both = ll.critical_value_table("logistic", 2.0, TINY, WeightKind.INV_SQRT_PI4,
+                                       [0.4, 0.5], (0.9, 0.95), B=100, seed=12)
+        _fresh_draws(monkeypatch)
+        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        alone = ll.critical_value_table("logistic", 2.0, TINY, WeightKind.INV_SQRT_PI4,
+                                        [0.5], (0.9, 0.95), B=100, seed=12)
+        np.testing.assert_array_equal(both.quantiles[1], alone.quantiles[0])
+
+    def test_every_row_is_a_direct_quantile(self, monkeypatch):
+        # each node's row, at every level, is the quantile of simulate_L at
+        # the table's own seed, bit for bit, also from a cold draws cache
+        alphas = (0.5, 0.9, 0.95)
+        table = ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT,
+                                        [0.6, 1.0, 1.4], alphas, B=130, seed=13)
+        for r, row in zip(table.r_grid, table.quantiles):
+            _fresh_draws(monkeypatch)
+            draws = ll.simulate_L(HuslerReissModel(r), 2.0, TINY, WeightKind.CONSTANT, 130,
+                                  base_seed=13)
+            assert row.tolist() == [ll.quantile(draws, a) for a in alphas]
 
 
 class TestDrawsCache:

@@ -451,7 +451,9 @@ class TestAngularLaw:
 
 def _pchip_oracle(law, theta, moment: bool):
     """The cumulative of ``law`` (times its total mass for the f moment) by
-    scipy's PCHIP on the same s-edges and half-arc cumulative tables."""
+    scipy's PCHIP on the same s-edges and half-arc cumulative tables.  The
+    cumulative is right-continuous: at pi/2 it takes the whole arc, the
+    endpoint atom included."""
     from scipy.interpolate import PchipInterpolator
 
     lower = mo.half_arc(law.model, law.p, True, law._n_cells)
@@ -461,7 +463,7 @@ def _pchip_oracle(law, theta, moment: bool):
     dist = np.where(low, theta, PI_2 - theta)
     s = np.clip(np.power(dist / PI_4, 1.0 / lower.kappa), lower.s_edges[0], 1.0)
     G_lo = PchipInterpolator(lower.s_edges, cum_lo)(s)
-    G_up = PchipInterpolator(upper.s_edges, cum_up)(s)
+    G_up = np.where(theta >= PI_2, 0.0, PchipInterpolator(upper.s_edges, cum_up)(s))
     return np.where(low, G_lo, cum_lo[-1] + cum_up[-1] - G_up)
 
 
@@ -490,6 +492,20 @@ class TestPchipOracle:
             law.f_integral(theta) * law.total_mass, _pchip_oracle(law, theta, True),
             rtol=0, atol=tol,
         )
+
+    @pytest.mark.parametrize("r", [0.999, 1.0 - 1e-9])
+    def test_endpoint_atoms_at_both_ends(self, r):
+        # logistic r near 1 puts most of its mass in atoms at 0 and pi/2:
+        # Q(0) is the atom's share and Q(pi/2) takes the other atom too
+        law = md.AngularLaw(md.make_model("logistic", r), 2.0)
+        lower = mo.half_arc(law.model, 2.0, True, law._n_cells)
+        assert law.normalized_cdf(0.0) == pytest.approx(lower.cum[0] / law.total_mass, abs=1e-14)
+        assert law.normalized_cdf(0.0) > 0.25
+        assert law.cdf(PI_2) == law.total_mass
+        assert law.normalized_cdf(PI_2) == 1.0
+        assert law.f_integral(PI_2) == 0.0
+        np.testing.assert_array_equal(law.normalized_cdf(np.array([PI_2, PI_2 + 1e-13])), 1.0)
+        np.testing.assert_array_equal(law.f_integral(np.array([PI_2, PI_2 + 1e-13])), 0.0)
 
 
 def _per_level_law(model, p):
