@@ -7,6 +7,13 @@ Subcommands:
   pairs      per-pair tests over columns of a CSV table with multiple-testing
              corrections
 
+A command either prints its report, or exits 1 with the error report
+{"status": "error", "message": ...}: for an input it rejects, and for a
+failure while it runs (a quadrature that does not converge, a covariance that
+does not factor, non-finite null-law draws, a power study whose every
+replicate is degenerate).  ``pairs`` reports a failing pair in that pair's own
+entry.
+
 All output is deterministic for fixed inputs and seeds: floats are emitted by
 the shortest round-trip representation (full precision) and JSON keys are
 sorted.
@@ -24,12 +31,11 @@ import numpy as np
 
 from .empirical import default_k
 from .geometry import WeightKind
-from .models import FAMILIES
+from .models import FAMILIES, QuadratureError
 from .limitlaw import (
     GRID_PRESETS,
     UnsupportedFeatureError,
     check_draw_inputs,
-    check_table_inputs,
     critical_value_table,
 )
 from .experiments import (
@@ -91,12 +97,6 @@ def _emit(payload: dict, out) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _input_error(message: str, out) -> int:
-    """Report an unusable input as a JSON error report; exit code 1."""
-    _emit({"status": "error", "message": message}, out)
-    return 1
 
 
 def _k_range_error(k: int, n: int) -> str:
@@ -185,20 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
-    try:
-        alphas = tuple(_parse_floats(args.alpha))
-        check_draw_inputs(args.p, alphas, args.B)
-        data, _ = ingest_csv(args.input)
-    except (ValueError, UnsupportedFeatureError) as exc:
-        return _input_error(str(exc), args.out)
+    alphas = tuple(_parse_floats(args.alpha))
+    check_draw_inputs(args.p, alphas, args.B)
+    data, _ = ingest_csv(args.input)
     if data.shape[1] != 2:
-        return _input_error(
-            f"{args.input}: test expects a two-column CSV, got {data.shape[1]} columns", args.out
-        )
+        raise ValueError(f"{args.input}: test expects a two-column CSV, got {data.shape[1]} columns")
     data = data[~np.any(np.isnan(data), axis=1)]
     k = args.k if args.k is not None else default_k(data.shape[0])
     if not 1 <= k < data.shape[0]:
-        return _input_error(_k_range_error(k, data.shape[0]), args.out)
+        raise ValueError(_k_range_error(k, data.shape[0]))
     report = run_single_test(
         data, args.family, k, p=args.p, q=WeightKind(args.q),
         B=args.B, seed=args.seed, grid=GRID_PRESETS[args.grid],
@@ -209,15 +204,10 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_quantiles(args) -> int:
-    try:
-        r_grid = _parse_floats(args.r_grid)
-        alphas = tuple(_parse_floats(args.alpha))
-        check_table_inputs(args.family, args.p, r_grid, alphas, args.B)
-    except (ValueError, UnsupportedFeatureError) as exc:
-        return _input_error(str(exc), args.out)
     table = critical_value_table(
         args.family, args.p, GRID_PRESETS[args.grid], WeightKind(args.q),
-        r_grid, alphas, args.B, seed=args.seed,
+        _parse_floats(args.r_grid), tuple(_parse_floats(args.alpha)), args.B,
+        seed=args.seed,
     )
     if args.cache:
         table.save(args.cache)
@@ -226,20 +216,17 @@ def _cmd_quantiles(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    try:
-        check_draw_inputs(args.p, (args.alpha,), args.B)
-        lambdas = tuple(_parse_floats(args.lambdas))
-    except (ValueError, UnsupportedFeatureError) as exc:
-        return _input_error(str(exc), args.out)
+    check_draw_inputs(args.p, (args.alpha,), args.B)
+    lambdas = tuple(_parse_floats(args.lambdas))
     if args.reps < 1:
-        return _input_error(f"--reps must be at least 1, got {args.reps}", args.out)
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     if not lambdas:
-        return _input_error("--lambdas is empty", args.out)
+        raise ValueError("--lambdas is empty")
     for lam in lambdas:
         if not 0.0 <= lam <= 1.0:
-            return _input_error(f"--lambdas values must lie in [0, 1], got {lam:g}", args.out)
+            raise ValueError(f"--lambdas values must lie in [0, 1], got {lam:g}")
     if not 1 <= args.k < args.n:
-        return _input_error(_k_range_error(args.k, args.n), args.out)
+        raise ValueError(_k_range_error(args.k, args.n))
     config = ScenarioConfig(
         family=args.family, scenario=args.scenario, lambdas=lambdas,
         n=args.n, k=args.k, p=args.p, q=WeightKind(args.q),
@@ -267,21 +254,15 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    try:
-        check_draw_inputs(args.p, (args.alpha,), args.B)
-        data, names = ingest_csv(args.input)
-    except (ValueError, UnsupportedFeatureError) as exc:
-        return _input_error(str(exc), args.out)
+    check_draw_inputs(args.p, (args.alpha,), args.B)
+    data, names = ingest_csv(args.input)
     if args.k is not None and args.k < 1:
-        return _input_error(f"--k must be at least 1, got {args.k}", args.out)
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     d = data.shape[1]
     if d < 2:
-        return _input_error(f"{args.input}: pairs needs at least two columns, got {d}", args.out)
+        raise ValueError(f"{args.input}: pairs needs at least two columns, got {d}")
     if args.pairs:
-        try:
-            pairs = _parse_pairs(args.pairs, d)
-        except ValueError as exc:
-            return _input_error(str(exc), args.out)
+        pairs = _parse_pairs(args.pairs, d)
     else:
         pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     labels = [f"{names[i]}:{names[j]}" for i, j in pairs]
@@ -319,10 +300,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; a failed command writes the error report and gives 1.
+
+    ``ValueError`` also covers ``DegenerateDataError`` and
+    ``numpy.linalg.LinAlgError``.
+    """
     args = build_parser().parse_args(argv)
-    if args.seed < 0:
-        return _input_error(f"--seed must be at least 0, got {args.seed}", args.out)
-    return _COMMANDS[args.command](args)
+    try:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
+        return _COMMANDS[args.command](args)
+    except (ValueError, QuadratureError, UnsupportedFeatureError) as exc:
+        _emit({"status": "error", "message": str(exc)}, args.out)
+        return 1
 
 
 if __name__ == "__main__":

@@ -151,6 +151,8 @@ def run_single_test(
 
     B null draws at r_hat come from ``simulate_L``, which returns the kept
     draws of an earlier call with the same r_hat, p, q, B, seed and grid.
+    A ``QuadratureError`` or ``LinAlgError`` of the draws gives status
+    "error" with its message.
     """
     res = fit(sample, family, k, p, q)
     report = TestReport(
@@ -168,7 +170,7 @@ def run_single_test(
     report.t_value = res.statistic.value
     try:
         draws = simulate_L(res.model, p, grid, q, B, base_seed=seed)
-    except QuadratureError as exc:
+    except (QuadratureError, np.linalg.LinAlgError) as exc:
         report.status, report.message = "error", str(exc)
         return report
     report.p_value = p_value(draws, report.t_value)

@@ -601,7 +601,8 @@ def simulate_L(
     of the latest (base_seed, N), which is replaced before the simulator is
     built, so a call at a new seed does not hold the old normals through the
     build; the simulator is dropped after the draws.  B < 1 and base_seed < 0
-    raise ValueError first.
+    raise ValueError first; draws that are not all finite raise
+    ``numpy.linalg.LinAlgError``, and nothing is kept.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -624,6 +625,11 @@ def _draw(model: Model, p: float, grid: FieldGrid, q: WeightKind, B: int, base_s
         # Row b of the product depends on row b of the block alone, so the
         # rows past B change nothing.
         values[start:start + n] = (np.abs(_NORMALS.block(j) @ F.T) @ q_cells)[:n]
+    if not np.isfinite(values).all():
+        raise np.linalg.LinAlgError(
+            f"null-law draws are not all finite for {model.family} r={model.r:.12g}, "
+            f"p={p:.12g}, grid h={grid.h:.12g} M={grid.M} N={grid.N}"
+        )
     values.flags.writeable = False
     return values
 

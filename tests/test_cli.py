@@ -9,6 +9,12 @@ import pytest
 
 from angular_gof import cli
 from angular_gof import datagen as dg
+from angular_gof._lru import ByteLRU
+from angular_gof.experiments import (ScenarioConfig, benjamini_hochberg, bonferroni,
+                                     run_power_study)
+from angular_gof.geometry import WeightKind
+from angular_gof.limitlaw import DESK_GRID, critical_value_table
+from angular_gof.models import QuadratureError
 
 
 @pytest.fixture()
@@ -298,6 +304,91 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "degenerate"
         assert payload["message"] == "ties reach the top k = 24 ranks of margin 1 (24 tied values)"
+
+    @pytest.mark.parametrize(
+        "argv,library_call",
+        [(["quantiles", "--family", "hr", "--r-grid", "30", "--B", "10"],
+          lambda: critical_value_table("hr", 2.0, DESK_GRID, WeightKind.INV_SQRT_PI4,
+                                       [30.0], (0.9, 0.95, 0.99), 10, seed=0)),
+         (["quantiles", "--family", "logistic", "--r-grid", "0.0001", "--B", "10"],
+          lambda: critical_value_table("logistic", 2.0, DESK_GRID, WeightKind.INV_SQRT_PI4,
+                                       [0.0001], (0.9, 0.95, 0.99), 10, seed=0)),
+         (["power", "--family", "logistic", "--scenario", "1", "--lambdas", "1", "--n", "100",
+           "--k", "10", "--reps", "2", "--B", "10"],
+          lambda: run_power_study(ScenarioConfig(family="logistic", scenario=1, lambdas=(1.0,),
+                                                 n=100, k=10, B=10, reps=2)))],
+        ids=["hr-mass", "logistic-quadrature", "all-replicates-failed"],
+    )
+    def test_failure_while_running_is_an_error_report(self, tmp_path, capsys, argv,
+                                                      library_call):
+        with pytest.raises((ValueError, QuadratureError)) as raised:
+            library_call()
+        expected = {"status": "error", "message": str(raised.value)}
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out) == expected
+        out = tmp_path / "report.json"
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text()) == expected
+
+    def test_pairs_reports_a_failing_pair_in_its_entry(self, tmp_path, capsys, monkeypatch):
+        from angular_gof import limitlaw
+
+        rng = np.random.default_rng(4)
+        table = np.column_stack([
+            dg.sample(dg.husler_reiss(1.0), 700, rng), rng.uniform(size=700),
+        ])
+        path = tmp_path / "table.csv"
+        np.savetxt(path, table, delimiter=",", header="a,b,c", comments="")
+        argv = ["pairs", str(path), "--family", "hr", "--B", "80", "--seed", "5"]
+        assert cli.main(argv) == 0
+        reference = json.loads(capsys.readouterr().out)["pairs"]
+        r_fail = reference[0]["r_hat"]
+        assert [entry["r_hat"] for entry in reference].count(r_fail) == 1
+        real = limitlaw._covariance
+
+        def indefinite_for_one_pair(model, p, grid):
+            sigma = real(model, p, grid)
+            if model.r == r_fail:
+                sigma[0, 0] = -1.0
+            return sigma
+
+        monkeypatch.setattr(limitlaw, "_covariance", indefinite_for_one_pair)
+        monkeypatch.setattr(limitlaw, "_DRAWS", ByteLRU(limitlaw._DRAWS_CACHE_BYTES))
+        assert cli.main(argv) == 0
+        entries = json.loads(capsys.readouterr().out)["pairs"]
+        assert entries[0]["status"] == "error"
+        assert "not positive definite" in entries[0]["message"]
+        rejects = ("bonferroni_reject", "bh_reject", "bh_dependent_reject")
+        for entry, ref in zip(entries[1:], reference[1:]):
+            assert entry["status"] == "ok"
+            assert {k: v for k, v in entry.items() if k not in rejects} == \
+                {k: v for k, v in ref.items() if k not in rejects}
+        pvalues = [1.0] + [ref["p_value"] for ref in reference[1:]]
+        for name, decisions in (("bonferroni_reject", bonferroni(pvalues, 0.05)),
+                                ("bh_reject", benjamini_hochberg(pvalues, 0.05)),
+                                ("bh_dependent_reject",
+                                 benjamini_hochberg(pvalues, 0.05, dependent=True))):
+            assert [entry[name] for entry in entries] == decisions.tolist()
+
+    def test_non_finite_draws_are_a_failure(self, pair_csv, capsys, monkeypatch):
+        from angular_gof import geometry, limitlaw
+
+        monkeypatch.setattr(geometry, "weight_q_cell_integral",
+                            lambda q, lo, hi: np.full(np.shape(lo), np.nan))
+        monkeypatch.setattr(limitlaw, "_DRAWS", ByteLRU(limitlaw._DRAWS_CACHE_BYTES))
+        assert cli.main(["test", pair_csv, "--k", "24", "--B", "20"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["message"].startswith("null-law draws are not all finite for logistic r=")
+        assert cli.main(["quantiles", "--r-grid", "0.5", "--B", "20"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error",
+            "message": "null-law draws are not all finite for logistic r=0.5, p=2, "
+                       "grid h=0.05 M=200 N=500",
+        }
+        assert limitlaw._DRAWS.nbytes == 0
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, pair_csv, tmp_path):

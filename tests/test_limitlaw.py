@@ -797,6 +797,17 @@ class TestDrawsCache:
         np.testing.assert_array_equal(other, ll.simulate_L(**{**base, **change}))
         assert len(builds) == 3
 
+    def test_non_finite_draws_raise_and_are_not_kept(self, builds, monkeypatch):
+        model = HuslerReissModel(1.0)
+        with monkeypatch.context() as m:
+            m.setattr(g, "weight_q_cell_integral", lambda q, lo, hi: np.full(np.shape(lo), np.nan))
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"not all finite for hr r=1, p=2, grid h=0\.1 M=22 N=16"):
+                ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
+        assert ll._DRAWS.nbytes == 0
+        draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
+        assert np.isfinite(draws).all() and len(builds) == 2
+
     def test_no_factor_outlives_the_call(self, builds):
         ll.simulate_L(LogisticModel(0.5), 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=3)
         assert len(builds) == 1
