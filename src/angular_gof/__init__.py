@@ -6,9 +6,8 @@ Hüsler–Reiss angular measure, and Monte-Carlo critical values from the
 simulated asymptotic null law.
 """
 
-# numpy >= 2 loads these on first use; every command draws, and np.unique
-# checks for masked arrays, so they load here rather than in the first fit.
-import numpy.ma  # noqa: F401
+# numpy >= 2 loads numpy.random on first use; every command draws, so it
+# loads here rather than in the first fit.
 import numpy.random  # noqa: F401
 
 from .geometry import WeightKind

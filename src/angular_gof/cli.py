@@ -8,11 +8,11 @@ Subcommands:
              corrections
 
 A command either prints its report, or exits 1 with the error report
-{"status": "error", "message": ...}: for an input it rejects, and for a
-failure while it runs (a quadrature that does not converge, a covariance that
-does not factor, non-finite null-law draws, a power study whose every
-replicate is degenerate).  ``pairs`` reports a failing pair in that pair's own
-entry.
+{"status": "error", "message": ...}: for an input it rejects or a file it
+cannot read or write, and for a failure while it runs (a quadrature that does
+not converge, a covariance that does not factor, non-finite null-law draws, a
+power study whose every replicate is degenerate).  ``pairs`` reports a
+failing pair in that pair's own entry.
 
 All output is deterministic for fixed inputs and seeds: floats are emitted by
 the shortest round-trip representation (full precision) and JSON keys are
@@ -152,13 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=None,
                     help="exceedance threshold (default: round(sqrt(n)))")
     sp.add_argument("--alpha", default="0.9,0.95,0.99",
-                    help="comma-separated critical-value levels")
+                    help="comma-separated quantile levels of the reported critical values")
     _add_common(sp, B_default=500)
 
     sp = sub.add_parser("quantiles", help="tabulate null critical values")
     sp.add_argument("--r-grid", required=True,
                     help="comma-separated parameter values")
-    sp.add_argument("--alpha", default="0.9,0.95,0.99")
+    sp.add_argument("--alpha", default="0.9,0.95,0.99",
+                    help="comma-separated quantile levels of the tabulated critical values")
     sp.add_argument("--cache", default=None,
                     help="also write the JSON report here, for CriticalValueTable.load")
     _add_common(sp, B_default=2000)
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", default="0,0.2,0.4,0.6,0.8")
     sp.add_argument("--n", type=int, default=3000)
     sp.add_argument("--k", type=int, default=50)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=float, default=0.05, help="significance level")
     sp.add_argument("--reps", type=int, default=200)
     _add_common(sp, B_default=500)
 
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semicolon-separated index pairs 'i,j;k,l' (default: all)")
     sp.add_argument("--k", type=int, default=None,
                     help="exceedance threshold (default: round(sqrt(n)) per pair)")
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=float, default=0.05, help="significance level")
     _add_common(sp, B_default=4000)
 
     return parser
@@ -303,15 +304,20 @@ def main(argv=None) -> int:
     """Run one command; a failed command writes the error report and gives 1.
 
     ``ValueError`` also covers ``DegenerateDataError`` and
-    ``numpy.linalg.LinAlgError``.
+    ``numpy.linalg.LinAlgError``, and ``OSError`` a file that cannot be read
+    or written; the report goes to stdout when ``--out`` is at fault.
     """
     args = build_parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except (ValueError, QuadratureError, UnsupportedFeatureError) as exc:
-        _emit({"status": "error", "message": str(exc)}, args.out)
+    except (OSError, ValueError, QuadratureError, UnsupportedFeatureError) as exc:
+        report = {"status": "error", "message": str(exc)}
+        try:
+            _emit(report, args.out)
+        except OSError:  # --out itself cannot be written
+            _emit(report, None)
         return 1
 
 

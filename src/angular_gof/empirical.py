@@ -110,12 +110,6 @@ class StepCDF:
         return out[()] if np.ndim(theta) == 0 else out
 
 
-def _survivors(ranks: np.ndarray) -> np.ndarray:
-    """Rank-based survival counts n + 1 - R_ij (always in {1..n})."""
-    n = ranks.shape[0]
-    return (n + 1 - ranks).astype(float)
-
-
 def _check_k(n: int, k: int) -> None:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -124,9 +118,10 @@ def _check_k(n: int, k: int) -> None:
 def select_exceedances(sample: np.ndarray, k: int, p: float) -> AngularDataset:
     """Pareto-scale exceedance angles with uniform weights 1/K.
 
-    A point exceeds when (n+1-R_1)^(-p) + (n+1-R_2)^(-p) >= k^(-p) (for
-    p = inf: min(n+1-R_1, n+1-R_2) <= k); its pseudo-angle is
-    arctan{(n+1-R_2) / (n+1-R_1)} (uniform-scale coordinates).
+    With survivor counts s_j = n+1-R_j, a point exceeds when min(1, k/s_1)^p +
+    min(1, k/s_2)^p >= 1, at every p in [1, inf]: so every point with
+    min(s_1, s_2) <= k does, and at p = inf no other; no power exceeds 1.  Its
+    pseudo-angle is arctan(s_2 / s_1) (uniform-scale coordinates).
     """
     sample = np.asarray(sample, dtype=float)
     _check_k(sample.shape[0], k)
@@ -140,15 +135,14 @@ def _exceedances(ranks: np.ndarray, equal: np.ndarray, k: int, p: float) -> Angu
     ``top_ties`` counts those whose upper value has a rank above n - k, so a
     tie across the threshold rank counts too.
     """
-    s = _survivors(ranks)
     n = ranks.shape[0]
+    s = n + 1 - ranks  # survivor counts, in {1..n}
     n_ties = int(np.count_nonzero(equal))
     top_ties = tuple(int(np.count_nonzero(row[n - k - 1:])) for row in equal)
-    if math.isinf(p):
-        mask = np.minimum(s[:, 0], s[:, 1]) <= k
-    else:
-        # (k/s1)^p + (k/s2)^p >= 1, stable for large p.
-        mask = np.power(k / s[:, 0], p) + np.power(k / s[:, 1], p) >= 1.0
+    ratio = k / s
+    np.minimum(ratio, 1.0, out=ratio)  # no power exceeds 1, so none overflows
+    np.power(ratio, p, out=ratio)
+    mask = ratio[:, 0] + ratio[:, 1] >= 1.0
     K = int(np.count_nonzero(mask))
     if K == 0:
         return AngularDataset(

@@ -214,8 +214,8 @@ def _r_grid_for(family: str, r_values: np.ndarray) -> np.ndarray:
     pitch = cls.grid_pitch
     lo = math.floor(float(np.min(r_values)) / pitch) * pitch
     hi = math.ceil(float(np.max(r_values)) / pitch) * pitch
-    nodes = np.clip(np.arange(lo, hi + pitch / 2, pitch), 1e-3, cls.grid_cap)
-    return np.unique(np.round(nodes, 10))
+    nodes = np.round(np.clip(np.arange(lo, hi + pitch / 2, pitch), 1e-3, cls.grid_cap), 10)
+    return nodes[np.append(True, nodes[1:] != nodes[:-1])]  # sorted; a clipped node may repeat
 
 
 def run_power_study(config: ScenarioConfig, threads: int = 1) -> PowerCurve:

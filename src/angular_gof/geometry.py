@@ -26,7 +26,8 @@ def lp_norm(p: float, x1, x2):
     """L_p norm of the nonnegative pair (x1, x2).
 
     Computed stably by factoring out the largest component, so that large
-    arguments never overflow under the power.  Accepts scalars or arrays.
+    arguments never overflow under the power; at p = inf it is max(x1, x2)
+    exactly.  Accepts scalars or arrays.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -35,8 +36,6 @@ def lp_norm(p: float, x1, x2):
     if np.any(x1 < 0) or np.any(x2 < 0):
         raise ValueError("lp_norm requires nonnegative components")
     big = np.maximum(x1, x2)
-    if math.isinf(p):
-        return big[()] if big.ndim == 0 else big
     if p == 1:
         out = x1 + x2
         return out[()] if out.ndim == 0 else out
@@ -81,7 +80,8 @@ def y_p_prime_abs(p: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 1.0):
         raise ValueError("y_p_prime_abs requires x > 1")
-    out = np.power(np.power(x, p) - 1.0, -(1.0 + 1.0 / p))
+    with np.errstate(over="ignore"):  # x^p = inf gives the limit 0
+        out = np.power(np.power(x, p) - 1.0, -(1.0 + 1.0 / p))
     return out[()] if out.ndim == 0 else out
 
 

@@ -221,7 +221,8 @@ def _distances(Fs, evals, group, q: WeightKind) -> tuple[np.ndarray, np.ndarray]
     cuts, mids_c = [], []
     for i in order.tolist():
         locs = Fs[i].locations
-        cut = np.unique(np.concatenate([[0.0, PI_4, PI_2], locs[(locs > 0) & (locs < PI_2)]]))
+        cut = np.sort(np.concatenate([[0.0, PI_4, PI_2], locs[(locs > 0) & (locs < PI_2)]]))
+        cut = cut[np.append(True, cut[1:] != cut[:-1])]  # PI_4 may be an angle too
         cuts.append(cut)
         mids_c.append(Fs[i](0.5 * (cut[:-1] + cut[1:])))  # F is constant per cell
     owner_cut = np.repeat(order, [cut.size for cut in cuts])

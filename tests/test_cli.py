@@ -1,11 +1,16 @@
 """Command-line interface: CSV ingestion, subcommands, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angular_gof import cli
 from angular_gof import datagen as dg
@@ -21,6 +26,14 @@ from angular_gof.models import QuadratureError
 def pair_csv(tmp_path):
     data = dg.sample(dg.gumbel(2.0), 600, np.random.default_rng(0))
     path = tmp_path / "pair.csv"
+    np.savetxt(path, data, delimiter=",", header="u,v", comments="")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def csv300(tmp_path_factory):
+    data = dg.sample(dg.gumbel(2.0), 300, np.random.default_rng(3))
+    path = tmp_path_factory.mktemp("csv300") / "pair300.csv"
     np.savetxt(path, data, delimiter=",", header="u,v", comments="")
     return str(path)
 
@@ -388,6 +401,55 @@ class TestCommands:
                        "grid h=0.05 M=200 N=500",
         }
         assert limitlaw._DRAWS.nbytes == 0
+
+
+class TestInputContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(p=st.one_of(st.floats(1.0, 1000.0), st.just(math.inf)), k=st.integers(1, 299))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_test_command_reports_for_every_p_and_k(self, csv300, p, k):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["test", csv300, "--B", "10", "--p", repr(p), "--k", str(k)])
+        report = json.loads(buf.getvalue())
+        if rc == 0:
+            assert report["status"] == "ok"
+            numbers = [report["t_value"], report["p_value"], *report["critical_values"].values()]
+            assert all(math.isfinite(v) for v in numbers), report
+        else:
+            assert rc == 1
+            assert report["status"] != "ok" and report["message"], report
+
+    def test_missing_input_is_an_error_report(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert cli.main(["test", missing]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["message"] == f"[Errno 2] No such file or directory: {missing!r}"
+
+    def test_unwritable_out_reports_on_stdout(self, tmp_path, capsys):
+        out = str(tmp_path / "nodir" / "x.json")
+        assert cli.main(["quantiles", "--family", "hr", "--r-grid", "0.5", "--B", "10",
+                         "--out", out]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"status": "error",
+                          "message": f"[Errno 2] No such file or directory: {out!r}"}
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "{csv}", "--k", "24", "--B", "10"],
+        ["pairs", "{csv}", "--k", "24", "--B", "10"],
+        ["quantiles", "--family", "hr", "--r-grid", "1", "--B", "10"],
+        ["power", "--family", "hr", "--lambdas", "0", "--n", "400", "--k", "20", "--B", "10",
+         "--reps", "2"],
+    ], ids=["test", "pairs", "quantiles", "power"])
+    def test_no_command_loads_numpy_ma(self, pair_csv, tmp_path, argv):
+        argv = [a.format(csv=pair_csv) for a in argv] + ["--out", str(tmp_path / "o.json")]
+        script = ("import json, sys; from angular_gof import cli; "
+                  "rc = cli.main(json.loads(sys.argv[1])); "
+                  "sys.exit(rc or ('numpy.ma' in sys.modules and 'numpy.ma was loaded'))")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ re-solve independently through the 2x2 KKT system with numpy.linalg.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,35 @@ class TestExceedances:
         ranks = emp.compute_ranks(x)
         s = 101 - ranks
         assert ds.K == np.sum(np.minimum(s[:, 0], s[:, 1]) <= k)
+
+    @staticmethod
+    def _samples(count):
+        # dependent normal pairs, n = 3000, with k drawn from [10, 200)
+        rng = _rng(11)
+        for _ in range(count):
+            z = rng.normal(size=(3000, 1)) + rng.uniform(0.0, 2.0) * rng.normal(size=(3000, 2))
+            yield z, int(rng.integers(10, 200))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 10.0, 250.0, math.inf])
+    def test_capped_rule_matches_two_branch_rule(self, p):
+        for x, k in self._samples(20):
+            ranks, equal = emp._rank(x)
+            ds = emp._exceedances(ranks, equal, k, p)
+            expect = eo.two_branch_angles(ranks, k, p)
+            assert ds.K == expect.size
+            assert ds.angles.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("p", [300.0, 1000.0])
+    def test_large_p_selects_survivor_counts_up_to_k(self, p):
+        # for k < 200, (k/(k+1))^p + (k/(k+1))^p < 1 at these p, so a point
+        # exceeds exactly when one of its survivor counts is at most k
+        for x, k in self._samples(5):
+            ranks, equal = emp._rank(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ds = emp._exceedances(ranks, equal, k, p)
+            expect = eo.two_branch_angles(ranks, k, math.inf)
+            assert ds.angles.tobytes() == expect.tobytes()
 
     def test_k_validation(self):
         x = _rng(6).normal(size=(50, 2))

@@ -10,6 +10,7 @@ Oracle tags:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ class TestLpNorm:
 
     def test_pinf_is_max(self):
         assert g.lp_norm(math.inf, 0.3, 0.4) == 0.4
+
+    def test_pinf_is_maximum_bit_for_bit(self):
+        # zeros, equal components, subnormals, huge values and inf
+        x = np.array([0.0, 0.0, 1.0, 0.3, 2.5, 5e-324, 1e300, math.inf, math.inf, 0.0, 7.0])
+        y = np.array([0.0, 1.0, 0.0, 0.3, 2.5, 5e-324, 1e300, 1.0, math.inf, math.inf, 7.5])
+        assert g.lp_norm(math.inf, x, y).tobytes() == np.maximum(x, y).tobytes()
+        for a, b in zip(x, y):
+            assert g.lp_norm(math.inf, a, b) == max(a, b)
 
     def test_no_overflow_for_huge_components(self):
         # naive x^p would overflow at p = 10 for x ~ 1e60
@@ -129,6 +138,16 @@ class TestBoundaryCurve:
                 h = 1e-6 * x
                 fd = (g.y_p(p, x + h) - g.y_p(p, x - h)) / (2 * h)
                 assert g.y_p_prime_abs(p, x) == pytest.approx(abs(fd), rel=1e-6)
+
+    def test_prime_large_p_is_zero_without_overflow(self):
+        # x^1000 overflows to inf from x = 10^0.3083 = 2.033; the limit is 0,
+        # while x = 2 (2^1000 = 1.07e301) keeps its tiny finite value
+        x = np.array([2.0, 2.04, 3.0, 10.0, 1e10, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = g.y_p_prime_abs(1000.0, x)
+        np.testing.assert_array_equal(out[1:], 0.0)
+        assert out[0] == pytest.approx(2.0 ** -1001.0, rel=1e-12)
 
     def test_prime_rejects_bad_domain(self):
         with pytest.raises(ValueError):
