@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -51,9 +52,10 @@ __all__ = ["ingest_csv", "build_parser", "main"]
 def ingest_csv(path) -> tuple[np.ndarray, list]:
     """Read a numeric CSV; returns (array, column names).
 
-    A non-numeric first row is treated as a header; missing/blank fields
-    become NaN.  A row whose field count differs from the first row's, or a
-    field that is not a number, raises ValueError naming its line.  A UTF-8
+    A first row with a field that is not a number is treated as a header;
+    blank, NA and NaN fields are missing values and become NaN.  A row whose
+    field count differs from the first row's, a field that is not a number,
+    or an infinite value raises ValueError naming its line.  A UTF-8
     byte-order mark is dropped.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -78,16 +80,30 @@ def ingest_csv(path) -> tuple[np.ndarray, list]:
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
 
+    header = [f"col{j}" for j in range(width)]
     try:
-        data_rows = [[parse(f) for f in rows[0][1]]]
-        header = [f"col{j}" for j in range(width)]
-    except ValueError:
-        data_rows = []
+        [parse(f) for f in rows[0][1]]
+    except ValueError:  # a field that is not a number: the row is the header
         header = [f.strip() for f in rows[0][1]]
-    data_rows += [parse_row(line, row) for line, row in rows[1:]]
-    if not data_rows:
+        rows = rows[1:]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(data_rows, dtype=float), header
+    data = np.asarray([parse_row(line, row) for line, row in rows], dtype=float)
+    infinite = np.flatnonzero(np.isinf(data).any(axis=1))
+    if infinite.size:
+        raise ValueError(f"{path}: line {rows[infinite[0]][0]}: an infinite value is not allowed "
+                         "(a missing value is blank, NA or NaN)")
+    return data, header
+
+
+def _check_writable(path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise, before any
+    work is done; a file this check creates is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _emit(payload: dict, out) -> None:
@@ -305,18 +321,24 @@ def main(argv=None) -> int:
 
     ``ValueError`` also covers ``DegenerateDataError`` and
     ``numpy.linalg.LinAlgError``, and ``OSError`` a file that cannot be read
-    or written; the report goes to stdout when ``--out`` is at fault.
+    or written.  ``--out`` and ``--cache`` are checked before any fit or
+    build: a path that cannot be written is reported on stdout.
     """
     args = build_parser().parse_args(argv)
+    report_to = None  # stdout, until the outputs are known to be writable
     try:
+        for path in (args.out, getattr(args, "cache", None)):
+            if path:
+                _check_writable(path)
+        report_to = args.out
         if args.seed < 0:
             raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, QuadratureError, UnsupportedFeatureError) as exc:
         report = {"status": "error", "message": str(exc)}
         try:
-            _emit(report, args.out)
-        except OSError:  # --out itself cannot be written
+            _emit(report, report_to)
+        except OSError:  # --out cannot be written after all
             _emit(report, None)
         return 1
 

@@ -50,12 +50,13 @@ both weights.  A draw is X = F eps with eps ~ N(0, I_N).
 ``simulate_L`` draws replicates in blocks of 64: block j fills its 64 x N
 matrix of eps row by row from one generator keyed by (base_seed, j), and
 replicate b is row b % 64 of block b // 64, so its value depends on
-neither B nor the thread count.  The blocks of the latest (base_seed, N)
-are kept, up to 32 MiB, so draws at another model with the same seed (the
-common random numbers of the pairs driver's pairs and of a critical value
-table's r nodes) reuse the normals and pay only for the products.  The
-draws are kept by the whole input of ``simulate_L``, so a repeated call
-returns the same read-only array; factors are not kept.
+neither B nor the thread count.  The package's one byte-bounded cache
+(``_lru.CACHE``) keeps the blocks by (base_seed, N, j), so draws at another
+model with the same seed (the common random numbers of the pairs driver's
+pairs and of a critical value table's r nodes) reuse the normals and pay
+only for the products, and keeps the draws by the whole input of
+``simulate_L``, so a repeated call returns the same read-only array;
+factors are not kept.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from ._lru import ByteLRU
+from . import _lru
 from .geometry import PI_2, WeightKind
 from .models import Model, family_class, get_law, grad_normalized_cdf, make_model
 
@@ -538,50 +539,6 @@ def keyed_rng(seed: int, *key: int) -> np.random.Generator:
 # replicate b is computed by the same arithmetic whatever B is.
 _CHUNK = 64
 
-# Bytes of normals the memo of simulate_L may hold: the blocks of B = 8000
-# draws on the desk grid (250 KiB each) or of B = 4000 on the paper grid
-# (500 KiB each).
-_NORMALS_CACHE_BYTES = 32 * 2**20
-
-
-class _NormalsMemo:
-    """The normals of the latest (base_seed, N): block j is the 64 x N
-    matrix that ``keyed_rng(base_seed, j)`` fills row by row, kept read-only.
-
-    The pairs driver draws every pair, and a critical value table every r
-    node, at one seed, so later draws at other models reuse the blocks.
-    ``use`` with another key drops them (each command draws at one seed, so
-    older keys would not be hit again).  Blocks past ``limit`` bytes are
-    drawn at each request and not kept.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.key = None
-        self.blocks: list = []
-
-    def use(self, base_seed: int, N: int) -> None:
-        """Serve the blocks of (base_seed, N) from now on."""
-        if self.key != (base_seed, N):
-            self.key, self.blocks = (base_seed, N), []
-
-    def block(self, j: int) -> np.ndarray:
-        if j < len(self.blocks):
-            return self.blocks[j]
-        base_seed, N = self.key
-        eps = keyed_rng(base_seed, j).standard_normal((_CHUNK, N))
-        if j == len(self.blocks) and (j + 1) * eps.nbytes <= self.limit:
-            eps.flags.writeable = False
-            self.blocks.append(eps)
-        return eps
-
-
-_NORMALS = _NormalsMemo(_NORMALS_CACHE_BYTES)
-
-# Bytes of draws simulate_L may keep: 268 calls at B = 4000 (31 KiB each).
-_DRAWS_CACHE_BYTES = 8 * 2**20
-_DRAWS = ByteLRU(_DRAWS_CACHE_BYTES)
-
 
 def simulate_L(
     model: Model,
@@ -596,24 +553,30 @@ def simulate_L(
     Replicate b is row b % 64 of the normals that ``keyed_rng(base_seed,
     b // 64)`` writes row by row, so its value depends on neither B nor
     ``threads``, which is ignored (the products are threaded by BLAS).  The
-    draws are kept by every other argument, so a repeated call returns the
-    same array and builds nothing.  Otherwise the blocks come from the memo
-    of the latest (base_seed, N), which is replaced before the simulator is
-    built, so a call at a new seed does not hold the old normals through the
-    build; the simulator is dropped after the draws.  B < 1 and base_seed < 0
-    raise ValueError first; draws that are not all finite raise
-    ``numpy.linalg.LinAlgError``, and nothing is kept.
+    draws, and the read-only normal blocks under (base_seed, N, j), are kept
+    in the package's one cache (``_lru.CACHE``): a repeated call returns the
+    same array and builds nothing, and a call at another model with the same
+    seed and N draws no new normals.  The simulator is dropped after the
+    draws.  B < 1 and base_seed < 0 raise ValueError first; draws that are
+    not all finite raise ``numpy.linalg.LinAlgError``, and are not kept.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if base_seed < 0:
         raise ValueError(f"base_seed must be at least 0, got {base_seed}")
     key = (model, p, grid, q, B, base_seed)
-    return _DRAWS.get(key, lambda: _draw(*key))
+    return _lru.CACHE.get(key, lambda: _draw(*key))
+
+
+def _normals(base_seed: int, N: int, j: int) -> np.ndarray:
+    """Block j of the normals of (base_seed, N): the 64 x N matrix that
+    ``keyed_rng(base_seed, j)`` fills row by row, read-only."""
+    eps = keyed_rng(base_seed, j).standard_normal((_CHUNK, N))
+    eps.flags.writeable = False
+    return eps
 
 
 def _draw(model: Model, p: float, grid: FieldGrid, q: WeightKind, B: int, base_seed: int):
-    _NORMALS.use(base_seed, grid.N)
     # Built through the module attribute, so a wrapper set there sees every build.
     F = LimitLawSimulator(model, p, grid)._F
     # Exact per-cell integrals of the weight function.
@@ -622,9 +585,10 @@ def _draw(model: Model, p: float, grid: FieldGrid, q: WeightKind, B: int, base_s
     values = np.empty(B)
     for j, start in enumerate(range(0, B, _CHUNK)):
         n = min(_CHUNK, B - start)
+        eps = _lru.CACHE.get((base_seed, grid.N, j), lambda: _normals(base_seed, grid.N, j))
         # Row b of the product depends on row b of the block alone, so the
         # rows past B change nothing.
-        values[start:start + n] = (np.abs(_NORMALS.block(j) @ F.T) @ q_cells)[:n]
+        values[start:start + n] = (np.abs(eps @ F.T) @ q_cells)[:n]
     if not np.isfinite(values).all():
         raise np.linalg.LinAlgError(
             f"null-law draws are not all finite for {model.family} r={model.r:.12g}, "

@@ -16,6 +16,8 @@ Both families are exchangeable, so the angular measure is symmetric about
 pi/4: the cumulative integrals are kept on the lower half-arc [0, pi/4] only,
 one table of monotone cubic Hermite coefficients per cumulative, indexed by
 panel, and an angle above pi/4 is looked up at its mirror image.
+``get_law`` keeps the laws in the package's one byte-bounded cache
+(``_lru.CACHE``), so a command builds each (model, p) once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ._lru import ByteLRU
+from . import _lru
 from .geometry import PI_2, PI_4, lp_norm
 
 __all__ = [
@@ -628,15 +630,10 @@ class AngularLaw:
         return self._eval(self._f_table, theta) / self.total_mass
 
 
-# Bytes of Hermite tables the law cache may hold: 819 laws of 512 cells
-# (40 KiB each), 102 of 4,096.
-_LAW_CACHE_BYTES = 32 * 2**20
-_LAWS = ByteLRU(_LAW_CACHE_BYTES)
-
-
 def get_law(model: Model, p: float) -> AngularLaw:
-    """Shared per-(model, p) angular-law cache."""
-    return _LAWS.get((model, p), lambda: AngularLaw(model, p))
+    """The angular law of (model, p), kept in the package's one cache
+    (``_lru.CACHE``) under the key (model, p)."""
+    return _lru.CACHE.get((model, p), lambda: AngularLaw(model, p))
 
 
 def grad_normalized_cdf(model: Model, p: float, theta):

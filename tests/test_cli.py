@@ -14,12 +14,18 @@ from hypothesis import strategies as st
 
 from angular_gof import cli
 from angular_gof import datagen as dg
+from angular_gof import limitlaw
+from angular_gof import _lru
 from angular_gof._lru import ByteLRU
 from angular_gof.experiments import (ScenarioConfig, benjamini_hochberg, bonferroni,
                                      run_power_study)
 from angular_gof.geometry import WeightKind
 from angular_gof.limitlaw import DESK_GRID, critical_value_table
 from angular_gof.models import QuadratureError
+
+
+def _no_build(*_args, **_kwargs):
+    raise AssertionError("a simulator was built")
 
 
 @pytest.fixture()
@@ -78,6 +84,19 @@ class TestIngest:
         path = tmp_path / "d.csv"
         path.write_text("\n")
         with pytest.raises(ValueError):
+            cli.ingest_csv(path)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+    def test_an_infinite_cell_is_an_error_naming_its_line(self, tmp_path, cell):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"x,y\n1.0,2.0\n3.0,{cell}\n4.0,5.0\n")
+        with pytest.raises(ValueError, match=r"inf\.csv: line 3: an infinite value is not allowed"):
+            cli.ingest_csv(path)
+
+    def test_an_infinite_first_row_is_an_error_not_a_header(self, tmp_path):
+        path = tmp_path / "inf_first.csv"
+        path.write_bytes(b"\xef\xbb\xbfinf,2.0\n1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=r"inf_first\.csv: line 1: an infinite value"):
             cli.ingest_csv(path)
 
 
@@ -367,7 +386,7 @@ class TestCommands:
             return sigma
 
         monkeypatch.setattr(limitlaw, "_covariance", indefinite_for_one_pair)
-        monkeypatch.setattr(limitlaw, "_DRAWS", ByteLRU(limitlaw._DRAWS_CACHE_BYTES))
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))
         assert cli.main(argv) == 0
         entries = json.loads(capsys.readouterr().out)["pairs"]
         assert entries[0]["status"] == "error"
@@ -389,7 +408,7 @@ class TestCommands:
 
         monkeypatch.setattr(geometry, "weight_q_cell_integral",
                             lambda q, lo, hi: np.full(np.shape(lo), np.nan))
-        monkeypatch.setattr(limitlaw, "_DRAWS", ByteLRU(limitlaw._DRAWS_CACHE_BYTES))
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))
         assert cli.main(["test", pair_csv, "--k", "24", "--B", "20"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "error"
@@ -400,10 +419,62 @@ class TestCommands:
             "message": "null-law draws are not all finite for logistic r=0.5, p=2, "
                        "grid h=0.05 M=200 N=500",
         }
-        assert limitlaw._DRAWS.nbytes == 0
+        # no draws are kept: their keys are the six inputs of simulate_L
+        assert [key for key in _lru.CACHE._entries if len(key) == 6] == []
+
+
+_MISSING = ("", "NA", "nan", "NaN")
+_INFINITE = ("inf", "-inf", "Infinity", "1e999")
+
+
+@st.composite
+def two_column_csvs(draw):
+    """CSV bytes of a two-column sample: 2 to 300 rows of an extremal
+    sample, rescaled to magnitudes from 1e-300 to 1e300, with ties, a
+    constant or a countermonotone column, missing and infinite cells, a
+    byte-order mark and a header drawn at random."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = dg.sample(dg.gumbel(draw(st.sampled_from((1.0, 2.0, 5.0)))), n, rng)
+    shape = draw(st.sampled_from(("plain", "ties", "constant", "countermonotone")))
+    if shape == "ties":
+        data = np.round(data * draw(st.integers(1, 20)))
+    elif shape == "constant":
+        data[:, draw(st.integers(0, 1))] = 1.0
+    elif shape == "countermonotone":
+        data[:, 1] = -data[:, 0]
+    data *= 10.0 ** np.array([draw(st.integers(-300, 299)) for _ in range(2)])
+    cells = [[repr(float(x)) for x in row] for row in data]
+    for pool in (_MISSING, _INFINITE):
+        for _ in range(draw(st.integers(0, 2 if pool is _MISSING else 1))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 1))
+            cells[i][j] = draw(st.sampled_from(pool))
+    lines = ["u,v"] if draw(st.booleans()) else []
+    lines += [",".join(row) for row in cells]
+    text = "\n".join(lines) + "\n"
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode()
 
 
 class TestInputContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(csv=two_column_csvs())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_test_command_reports_for_every_csv(self, tmp_path_factory, csv):
+        path = tmp_path_factory.mktemp("contract") / "pair.csv"
+        path.write_bytes(csv)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["test", str(path), "--B", "10"])
+        report = json.loads(buf.getvalue())
+        if rc == 0:
+            assert report["status"] == "ok"
+            numbers = [report["r_hat"], report["t_value"], report["p_value"],
+                       *report["critical_values"].values()]
+            assert all(math.isfinite(v) for v in numbers), report
+        else:
+            assert rc == 1
+            assert report["status"] != "ok" and report["message"], report
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(p=st.one_of(st.floats(1.0, 1000.0), st.just(math.inf)), k=st.integers(1, 299))
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -426,6 +497,34 @@ class TestInputContract:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error"
         assert report["message"] == f"[Errno 2] No such file or directory: {missing!r}"
+
+    def test_an_infinite_cell_is_an_error_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(limitlaw, "LimitLawSimulator", _no_build)
+        data = dg.sample(dg.gumbel(2.0), 200, np.random.default_rng(4))
+        lines = ["u,v"] + [f"{a!r},{b!r}" for a, b in data.tolist()]
+        lines[50] = "0.5,inf"
+        path = tmp_path / "inf.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["test", str(path), "--B", "10"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error",
+            "message": f"{path}: line 51: an infinite value is not allowed "
+                       "(a missing value is blank, NA or NaN)",
+        }
+
+    @pytest.mark.parametrize("unwritable", ["out", "cache"])
+    def test_unwritable_output_is_reported_before_any_build(self, tmp_path, capsys, monkeypatch,
+                                                           unwritable):
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))
+        monkeypatch.setattr(limitlaw, "LimitLawSimulator", _no_build)
+        bad, good = str(tmp_path / "nodir" / "x.json"), str(tmp_path / "cv.json")
+        outputs = ["--out", bad] if unwritable == "out" else ["--cache", bad, "--out", good]
+        argv = ["quantiles", "--family", "logistic", "--grid", "paper",
+                "--r-grid", "0.3,0.5,0.7", "--B", "40", *outputs]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "error", "message": f"[Errno 2] No such file or directory: {bad!r}"}
+        assert list(tmp_path.iterdir()) == []  # no empty or partial file is left
 
     def test_unwritable_out_reports_on_stdout(self, tmp_path, capsys):
         out = str(tmp_path / "nodir" / "x.json")

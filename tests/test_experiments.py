@@ -9,6 +9,7 @@ from angular_gof import datagen as dg
 from angular_gof import experiments as ex
 from angular_gof import limitlaw as ll
 from angular_gof import wasserstein as ws
+from angular_gof import _lru
 from angular_gof._lru import ByteLRU
 from angular_gof.empirical import angular_dataset
 from angular_gof.geometry import WeightKind
@@ -36,6 +37,18 @@ class TestFit:
             assert res.estimate == est
             assert res.model == make_model("hr", est.r)
             assert res.statistic.value == t.value
+
+    @pytest.mark.parametrize("family,spec", [("hr", dg.husler_reiss(1.0)),
+                                             ("logistic", dg.gumbel(2.0))], ids=["hr", "logistic"])
+    def test_column_swap_leaves_the_fit_unchanged(self, family, spec):
+        # both families are exchangeable: swapping the columns keeps r_hat
+        # exactly and T to rounding
+        for seed in range(5):
+            x = dg.sample(spec, 3000, np.random.default_rng(seed))
+            a, b = ex.fit(x, family, 100), ex.fit(x[:, ::-1], family, 100)
+            assert a.status == b.status == "ok"
+            assert a.estimate.r == b.estimate.r
+            assert b.statistic.value == pytest.approx(a.statistic.value, rel=1e-12, abs=0.0)
 
     def test_comonotone_is_degenerate(self):
         u = np.random.default_rng(2).uniform(size=500)
@@ -136,7 +149,7 @@ class TestSingleTest:
     def test_deterministic(self, monkeypatch):
         data = dg.sample(dg.husler_reiss(1.0), 800, np.random.default_rng(3))
         a = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
-        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))  # draw again
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))  # draw again
         b = ex.run_single_test(data, "hr", 28, B=100, seed=9, grid=TINY)
         assert a.to_dict() == b.to_dict()
 
@@ -215,7 +228,7 @@ class TestPowerStudy:
             B=60, alpha=0.1, reps=8, seed=11, grid=TINY,
         )
         a = ex.run_power_study(cfg, threads=1)
-        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))  # draw again
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))  # draw again
         b = ex.run_power_study(cfg, threads=4)
         np.testing.assert_array_equal(a.rates, b.rates)
 
@@ -314,7 +327,7 @@ class TestPairwise:
     def test_rank_copy_pair_adds_no_build(self, monkeypatch):
         # a strictly increasing transform of a pair has its ranks, so its
         # r_hat, and simulate_L serves it the first pair's kept draws
-        monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))
         built = []
         real = ll.LimitLawSimulator
 
@@ -333,3 +346,24 @@ class TestPairwise:
         assert len(built) == 1
         a, b = report.pairs[0].report, report.pairs[1].report
         assert a.status == "ok" and a.to_dict() == b.to_dict() == alone.pairs[0].report.to_dict()
+
+    def test_pairs_share_the_normal_blocks(self, monkeypatch):
+        # every pair draws at the command's seed, so only the first draws normals
+        monkeypatch.setattr(_lru, "CACHE", ByteLRU(_lru.CACHE_BYTES))
+        calls = []
+        real = ll.keyed_rng
+
+        def counting(seed, *key):
+            calls.append((seed, *key))
+            return real(seed, *key)
+
+        monkeypatch.setattr(ll, "keyed_rng", counting)
+        rng = np.random.default_rng(10)
+        table = np.column_stack([dg.sample(dg.husler_reiss(1.0), 600, rng),
+                                 dg.sample(dg.husler_reiss(2.0), 600, rng)])
+        report = ex.run_pairwise_analysis(
+            table, [(0, 1), (2, 3)], family="hr", B=130, seed=6, grid=TINY,
+        )
+        a, b = report.pairs[0].report, report.pairs[1].report
+        assert a.status == b.status == "ok" and a.r_hat != b.r_hat
+        assert calls == [(6, 0), (6, 1), (6, 2)]

@@ -19,9 +19,9 @@ Oracles:
     on a grid whose N is not a multiple of the tile
   - the cell masses mirrored across the diagonal against every cell
     evaluated (``limitlaw_oracle.full_cell_masses``), bit for bit
-  - draws from memoized normal blocks against draws from a fresh memo and
-    from a memo that keeps no block, bit for bit
-  - draws served by the draws cache against a cold-cache computation, bit
+  - draws from cached normal blocks against draws from an empty cache and
+    from a cache too small to keep the blocks, bit for bit
+  - draws served by the cache against a cold-cache computation, bit
     for bit
   - each critical-value table row against the quantiles of a direct
     ``simulate_L`` call at the table's seed, bit for bit
@@ -36,11 +36,13 @@ import numpy as np
 import pytest
 
 from angular_gof import geometry as g
+from angular_gof import _lru
 from angular_gof import limitlaw as ll
+from angular_gof import models as md
 from angular_gof._lru import ByteLRU
 from angular_gof.geometry import WeightKind
 from angular_gof.limitlaw import keyed_rng
-from angular_gof.models import HuslerReissModel, LogisticModel, get_law
+from angular_gof.models import HuslerReissModel, LogisticModel, QuadratureError, get_law
 
 import limitlaw_oracle as lo
 
@@ -450,16 +452,22 @@ def _no_build(*_args, **_kwargs):
     raise AssertionError("a simulator was built")
 
 
-def _fresh_draws(monkeypatch):
-    """Give simulate_L an empty draws cache."""
-    monkeypatch.setattr(ll, "_DRAWS", ByteLRU(ll._DRAWS_CACHE_BYTES))
+def _failing_law(*_args, **_kwargs):
+    raise QuadratureError("no convergence", 1e-3)
+
+
+def _fresh_cache(monkeypatch, limit=_lru.CACHE_BYTES):
+    """Give the package an empty cache of laws, normal blocks and draws."""
+    cache = ByteLRU(limit)
+    monkeypatch.setattr(_lru, "CACHE", cache)
+    return cache
 
 
 class TestDraws:
     def test_thread_count_invariance(self, monkeypatch):
         model = LogisticModel(0.5)
         a = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=1)
-        _fresh_draws(monkeypatch)
+        _fresh_cache(monkeypatch)
         b = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 32, base_seed=7, threads=4)
         np.testing.assert_array_equal(a, b)
 
@@ -524,18 +532,12 @@ class TestDraws:
 
 
 class TestNormalsMemo:
-    """simulate_L keeps the normal blocks of the latest (base_seed, N).
-
-    Each test starts with an empty draws cache, and empties it again before
-    a repeated call, so that the call draws.
-    """
+    """simulate_L memoizes its normal blocks, by (base_seed, N, j), in the
+    package's one cache.  Each test starts with an empty cache."""
 
     @pytest.fixture
-    def memo(self, monkeypatch):
-        _fresh_draws(monkeypatch)
-        memo = ll._NormalsMemo(ll._NORMALS_CACHE_BYTES)
-        monkeypatch.setattr(ll, "_NORMALS", memo)
-        return memo
+    def cache(self, monkeypatch):
+        return _fresh_cache(monkeypatch)
 
     @pytest.fixture
     def rng_calls(self, monkeypatch):
@@ -549,7 +551,7 @@ class TestNormalsMemo:
         monkeypatch.setattr(ll, "keyed_rng", counting)
         return calls
 
-    def test_same_seed_and_N_draws_no_new_normals(self, memo, rng_calls, monkeypatch):
+    def test_same_seed_and_N_draws_no_new_normals(self, cache, rng_calls, monkeypatch):
         ll.simulate_L(HuslerReissModel(1.0), 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=21)
         assert rng_calls == [(21, 0), (21, 1), (21, 2)]
         rng_calls.clear()
@@ -557,78 +559,81 @@ class TestNormalsMemo:
         again = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 130, base_seed=21)
         fewer = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 70, base_seed=21)
         assert rng_calls == []
-        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
-        _fresh_draws(monkeypatch)
+        _fresh_cache(monkeypatch)
         fresh = ll.simulate_L(model, 2.0, TINY, WeightKind.INV_SQRT_PI4, 130, base_seed=21)
         assert rng_calls == [(21, 0), (21, 1), (21, 2)]
         np.testing.assert_array_equal(again, fresh)
         np.testing.assert_array_equal(fewer, fresh[:70])
 
-    def test_more_draws_extend_the_memo(self, memo, rng_calls, monkeypatch):
+    def test_more_draws_extend_the_memo(self, cache, rng_calls, monkeypatch):
         model = HuslerReissModel(1.0)
         ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 70, base_seed=21)
         more = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 200, base_seed=21)
         assert rng_calls == [(21, 0), (21, 1), (21, 2), (21, 3)]
-        assert len(memo.blocks) == 4
-        for j, block in enumerate(memo.blocks):
-            np.testing.assert_array_equal(block, ll.keyed_rng(21, j).standard_normal((64, TINY.N)))
-        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(0))  # keeps no block
-        _fresh_draws(monkeypatch)
+        for j in range(4):
+            np.testing.assert_array_equal(cache._entries[(21, TINY.N, j)][0],
+                                          keyed_rng(21, j).standard_normal((64, TINY.N)))
+        _fresh_cache(monkeypatch, limit=0)  # keeps the latest entry alone
         np.testing.assert_array_equal(
             more, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 200, base_seed=21))
 
-    def test_draws_past_the_limit_are_unchanged(self, memo, rng_calls, monkeypatch):
-        model = HuslerReissModel(1.0)
-        full = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22)
-        block_bytes = 64 * TINY.N * 8
-        small = ll._NormalsMemo(2 * block_bytes + block_bytes // 2)
-        monkeypatch.setattr(ll, "_NORMALS", small)
-        rng_calls.clear()
-        for _ in range(2):
-            _fresh_draws(monkeypatch)
-            np.testing.assert_array_equal(
-                full, ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22))
-            assert len(small.blocks) == 2
-            assert sum(block.nbytes for block in small.blocks) <= small.limit
-        # blocks 0 and 1 are kept; 2, 3 and 4 are drawn at each call
-        assert rng_calls == [(22, j) for j in range(5)] + [(22, j) for j in range(2, 5)]
-
-    def test_stored_blocks_are_read_only(self, memo):
+    def test_stored_blocks_are_read_only(self, cache):
         ll.simulate_L(LogisticModel(0.5), 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=23)
-        assert len(memo.blocks) == 2
-        for block in memo.blocks:
+        for j in range(2):
+            block = cache._entries[(23, TINY.N, j)][0]
+            np.testing.assert_array_equal(block, keyed_rng(23, j).standard_normal((64, TINY.N)))
             assert not block.flags.writeable
             with pytest.raises(ValueError):
                 block[0, 0] = 0.0
+        assert (23, TINY.N, 2) not in cache._entries
 
-    def test_new_seed_or_N_replaces_the_memo(self, memo, rng_calls, monkeypatch):
+    def test_each_seed_and_N_keeps_its_blocks(self, cache, rng_calls):
         model = LogisticModel(0.5)
         ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 130, base_seed=24)
-        old = memo.blocks[0]
-        real = ll.LimitLawSimulator
-        held = []
-
-        def spying(*args):
-            held.append(list(memo.blocks))
-            return real(*args)
-
-        monkeypatch.setattr(ll, "LimitLawSimulator", spying)
         ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 64, base_seed=25)
-        # the old normals are dropped before the simulator is built
-        assert held == [[]]
-        assert memo.key == (25, TINY.N) and len(memo.blocks) == 1
-        # keyed_rng as imported, so rng_calls does not count this reference draw
-        np.testing.assert_array_equal(memo.blocks[0], keyed_rng(25, 0).standard_normal((64, TINY.N)))
-        assert not np.array_equal(memo.blocks[0], old)
         ll.simulate_L(model, 2.0, SMALL, WeightKind.CONSTANT, 64, base_seed=25)
-        assert memo.key == (25, SMALL.N) and memo.blocks[0].shape == (64, SMALL.N)
         assert rng_calls == [(24, 0), (24, 1), (24, 2), (25, 0), (25, 0)]  # seed 25 at each N
+        assert cache._entries[(25, SMALL.N, 0)][0].shape == (64, SMALL.N)
+        rng_calls.clear()
+        other = HuslerReissModel(1.0)
+        for seed, grid in ((24, TINY), (25, TINY), (25, SMALL)):
+            ll.simulate_L(other, 2.0, grid, WeightKind.CONSTANT, 64, base_seed=seed)
+        assert rng_calls == []
 
-    def test_table_nodes_share_the_normals(self, memo, rng_calls):
+    def test_table_nodes_share_the_normals(self, cache, rng_calls):
         # every node draws at the table's seed, so only the first draws normals
         ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT, [0.8, 1.0, 1.2], (0.95,),
                                 130, seed=26)
         assert rng_calls == [(26, 0), (26, 1), (26, 2)]
+
+    def test_draws_past_the_limit_are_unchanged(self, cache, rng_calls, monkeypatch):
+        models = [HuslerReissModel(r) for r in (0.8, 1.0, 1.2)]
+        full = [ll.simulate_L(m, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22)
+                for m in models]
+        assert rng_calls == [(22, j) for j in range(5)]
+        rng_calls.clear()
+        # Room for two and a half blocks; an angular law alone is larger, so
+        # each build evicts every block, and each model draws all five anew.
+        small = _fresh_cache(monkeypatch, limit=5 * 64 * TINY.N * 8 // 2)
+        for m, expect in zip(models, full):
+            np.testing.assert_array_equal(
+                expect, ll.simulate_L(m, 2.0, TINY, WeightKind.CONSTANT, 300, base_seed=22))
+        assert rng_calls == [(22, j) for _ in models for j in range(5)]
+        assert small.nbytes <= small.limit
+
+    def test_a_failing_build_keeps_nothing(self, cache, rng_calls, monkeypatch):
+        model = HuslerReissModel(1.0)
+        with monkeypatch.context() as m:
+            m.setattr(ll, "_covariance", lambda *args: -np.eye(TINY.N))
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
+        assert rng_calls == [] and cache.nbytes == 0 and not cache._entries
+        with monkeypatch.context() as m:
+            m.setattr(md, "AngularLaw", _failing_law)
+            with pytest.raises(QuadratureError):
+                get_law(model, 2.0)
+        assert cache.nbytes == 0 and not cache._entries
+        assert get_law(model, 2.0) is cache._entries[(model, 2.0)][0]
 
 
 class TestCriticalValueTable:
@@ -727,23 +732,22 @@ class TestCriticalValueTable:
         assert table.interp(0.5, 0.95) == ll.quantile(draws, 0.95)
 
     def test_node_row_does_not_depend_on_the_other_nodes(self, monkeypatch):
-        _fresh_draws(monkeypatch)
+        _fresh_cache(monkeypatch)
         both = ll.critical_value_table("logistic", 2.0, TINY, WeightKind.INV_SQRT_PI4,
                                        [0.4, 0.5], (0.9, 0.95), B=100, seed=12)
-        _fresh_draws(monkeypatch)
-        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        _fresh_cache(monkeypatch)
         alone = ll.critical_value_table("logistic", 2.0, TINY, WeightKind.INV_SQRT_PI4,
                                         [0.5], (0.9, 0.95), B=100, seed=12)
         np.testing.assert_array_equal(both.quantiles[1], alone.quantiles[0])
 
     def test_every_row_is_a_direct_quantile(self, monkeypatch):
         # each node's row, at every level, is the quantile of simulate_L at
-        # the table's own seed, bit for bit, also from a cold draws cache
+        # the table's own seed, bit for bit, also from a cold cache
         alphas = (0.5, 0.9, 0.95)
         table = ll.critical_value_table("hr", 2.0, TINY, WeightKind.CONSTANT,
                                         [0.6, 1.0, 1.4], alphas, B=130, seed=13)
         for r, row in zip(table.r_grid, table.quantiles):
-            _fresh_draws(monkeypatch)
+            _fresh_cache(monkeypatch)
             draws = ll.simulate_L(HuslerReissModel(r), 2.0, TINY, WeightKind.CONSTANT, 130,
                                   base_seed=13)
             assert row.tolist() == [ll.quantile(draws, a) for a in alphas]
@@ -764,7 +768,7 @@ class TestDrawsCache:
             return sim
 
         monkeypatch.setattr(ll, "LimitLawSimulator", counting)
-        _fresh_draws(monkeypatch)
+        _fresh_cache(monkeypatch)
         return built
 
     def test_builds_through_the_module_attribute(self, builds):
@@ -780,7 +784,7 @@ class TestDrawsCache:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0.0
-        assert ll._DRAWS.nbytes == first.nbytes == 100 * 8
+        assert _lru.CACHE._entries[(model, 2.0, TINY, WeightKind.CONSTANT, 100, 3)][0] is first
 
     @pytest.mark.parametrize("change", [
         {"model": LogisticModel(0.5)}, {"p": 1.5}, {"grid": ll.FieldGrid(h=0.1, M=22, N=18)},
@@ -792,8 +796,7 @@ class TestDrawsCache:
         first = ll.simulate_L(**base)
         other = ll.simulate_L(**{**base, **change})
         assert len(builds) == 2 and other is not first
-        _fresh_draws(monkeypatch)
-        monkeypatch.setattr(ll, "_NORMALS", ll._NormalsMemo(ll._NORMALS_CACHE_BYTES))
+        _fresh_cache(monkeypatch)
         np.testing.assert_array_equal(other, ll.simulate_L(**{**base, **change}))
         assert len(builds) == 3
 
@@ -804,7 +807,7 @@ class TestDrawsCache:
             with pytest.raises(np.linalg.LinAlgError,
                                match=r"not all finite for hr r=1, p=2, grid h=0\.1 M=22 N=16"):
                 ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
-        assert ll._DRAWS.nbytes == 0
+        assert (model, 2.0, TINY, WeightKind.CONSTANT, 100, 3) not in _lru.CACHE._entries
         draws = ll.simulate_L(model, 2.0, TINY, WeightKind.CONSTANT, 100, base_seed=3)
         assert np.isfinite(draws).all() and len(builds) == 2
 

@@ -661,9 +661,13 @@ class TestByteLRU:
         assert cache.get("small", lambda: self._Entry(400)) is not small  # evicted, rebuilt
         assert cache.nbytes == 400
 
-    def test_law_cache_counts_table_bytes(self):
+    def test_law_cache_counts_table_bytes(self, monkeypatch):
+        from angular_gof import _lru
+
+        cache = _lru.ByteLRU(_lru.CACHE_BYTES)
+        monkeypatch.setattr(_lru, "CACHE", cache)
         law = md.get_law(md.make_model("logistic", 0.5), 2.0)
-        assert md._LAWS.get((md.LogisticModel(0.5), 2.0), lambda: None) is law
+        assert cache.get((md.LogisticModel(0.5), 2.0), lambda: None) is law
         n = law._cdf_table.shape[1]
-        assert md._LAWS.nbytes >= 2 * 5 * n * 8
-        assert md._LAWS.nbytes <= md._LAW_CACHE_BYTES
+        assert cache.nbytes >= 2 * 5 * n * 8
+        assert cache.nbytes == _lru.array_bytes(law)
